@@ -9,12 +9,18 @@
 //! data directory is attached ([`MayBms::open`]), each edit is logged
 //! physically to the write-ahead log *before* it is installed in memory,
 //! so a crash at any instant loses at most the statement in flight.
+//!
+//! DML costs in proportion to the change, not the table: every stored
+//! table is one columnar at-rest batch plus WSD sidecar, UPDATE/DELETE
+//! find their rows with the vectorised predicate kernels over that
+//! batch, and the logged op — appended rows, `(row id, post-image)`
+//! pairs, or deleted row ids — is applied in place, without a pivot.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 
-use maybms_engine::{Field, Relation, Schema, Tuple, Value};
+use maybms_engine::{ColumnBatch, Field, Relation, Schema, Tuple, Value};
 use maybms_sql::{parse_statement, parse_statements, InsertSource, Statement};
 use maybms_store::{Op, Store, StoreStatus, Vfs};
 use maybms_urel::{URelation, UTuple, WorldTable};
@@ -69,7 +75,14 @@ pub struct MayBms {
     /// Stats collected for the most recently executed statement (the
     /// shell's timing line and the slow-query log read these).
     last_stats: Option<Arc<maybms_obs::QueryStats>>,
+    /// The running statement's collector, while one runs: `commit`
+    /// charges the WAL bytes it appends to it.
+    stmt_stats: Option<Arc<maybms_obs::QueryStats>>,
 }
+
+/// Rows per morsel when UPDATE/DELETE evaluate their predicate: one
+/// governor checkpoint per morsel.
+const DML_MORSEL: usize = 16 * 1024;
 
 impl MayBms {
     /// A fresh, empty, purely in-memory database (no durability).
@@ -93,14 +106,12 @@ impl MayBms {
     pub fn open_with_vfs(vfs: Arc<dyn Vfs>) -> Result<MayBms> {
         let (store, recovered) = Store::open(vfs)?;
         let mut tables = recovered.tables;
-        // Recovered tables (row-image WAL replays, legacy snapshots) are
-        // compacted to the at-rest representation once, here — the same
-        // install discipline as live DDL/DML.
-        if maybms_engine::columnar_store_default() {
-            for t in tables.values_mut() {
-                if !t.is_columnar() {
-                    *t = t.compact();
-                }
+        // Row images from data directories written by earlier builds
+        // (version-1 snapshots, tag-1 table records) are compacted to the
+        // at-rest representation once, here: DML edits columns in place.
+        for t in tables.values_mut() {
+            if !t.is_columnar() {
+                *t = t.compact();
             }
         }
         Ok(MayBms {
@@ -114,6 +125,7 @@ impl MayBms {
             conf: ConfContext::default(),
             store: Some(store),
             last_stats: None,
+            stmt_stats: None,
         })
     }
 
@@ -173,37 +185,20 @@ impl MayBms {
         maybms_gov::check()
             .map_err(|g| CoreError::Engine(maybms_engine::EngineError::Gov(g)))?;
         // Pivot full table images *before* logging so the WAL record
-        // carries the columnar representation (op tag 5) and recovery
-        // restores it without re-pivoting; the post-apply compact below
-        // then finds the installed table already columnar.
+        // carries the columnar representation and recovery restores it
+        // without re-pivoting. Row edits apply in place: no pivot.
         let op = match op {
-            Op::PutTable { name, table }
-                if maybms_engine::columnar_store_default() && !table.is_columnar() =>
-            {
-                Op::PutTable { name, table: table.compact() }
-            }
+            Op::PutTable { name, table } => Op::PutTable { name, table: table.compact() },
             op => op,
         };
         if let Some(store) = &mut self.store {
-            store.log(&op, &self.wt)?;
-        }
-        let affected = match &op {
-            Op::CreateTable { name, .. }
-            | Op::PutTable { name, .. }
-            | Op::DropTable { name } => name.clone(),
-            Op::InsertRows { table, .. } | Op::ReplaceRows { table, .. } => table.clone(),
-        };
-        maybms_store::apply_op(&mut self.tables, op)
-            .map_err(|e| plan_err(format!("internal: logged op failed to apply: {e}")))?;
-        // Re-install the at-rest representation: the one pivot per
-        // statement the columnar store pays (gated like every install).
-        if maybms_engine::columnar_store_default() {
-            if let Some(t) = self.tables.get_mut(&affected) {
-                if !t.is_columnar() {
-                    *t = t.compact();
-                }
+            let bytes = store.log(&op, &self.wt)?;
+            if let Some(stats) = &self.stmt_stats {
+                stats.wal_bytes.add(bytes);
             }
         }
+        maybms_store::apply_op(&mut self.tables, op)
+            .map_err(|e| plan_err(format!("internal: logged op failed to apply: {e}")))?;
         Ok(())
     }
 
@@ -342,6 +337,7 @@ impl MayBms {
         }
         let m = maybms_obs::metrics();
         let fallbacks_before = m.scalar_fallbacks.get();
+        self.stmt_stats = Some(stats.clone());
         let t0 = std::time::Instant::now();
         let result = {
             let _exec = maybms_obs::trace::span("execute");
@@ -364,6 +360,7 @@ impl MayBms {
             })
         };
         let elapsed = t0.elapsed();
+        self.stmt_stats = None;
         // Governor aborts: count by kind, once per statement (checks keep
         // failing after the first abort, so counting at check sites would
         // multiply). The label doubles as the root span's abort attribute.
@@ -426,6 +423,9 @@ impl MayBms {
         maybms_obs::window::record_statement(kind, elapsed);
         root.attr("kind", kind.label());
         root.attr("rows", stats.rows_returned.get());
+        if stats.wal_bytes.get() > 0 {
+            root.attr("wal_bytes", stats.wal_bytes.get());
+        }
         if let Some(label) = gov_abort_label {
             root.attr("gov_abort", label);
         }
@@ -443,13 +443,11 @@ impl MayBms {
                     elapsed.as_secs_f64() * 1e3,
                     stats.summary(),
                 );
-                maybms_obs::slow_log_write(&format!(
-                    "{{\"ms\":{:.3},\"kind\":\"{}\",\"statement\":\"{}\",\"summary\":\"{}\",\"root_span\":{},\"ok\":{}}}",
-                    elapsed.as_secs_f64() * 1e3,
+                maybms_obs::slow_log_write(&slow_log_record(
+                    elapsed,
                     kind.label(),
-                    maybms_obs::trace::json_escaped(&stmt.to_string()),
-                    maybms_obs::trace::json_escaped(&stats.summary()),
-                    stats.root_span().unwrap_or(0),
+                    stmt,
+                    &stats,
                     result.is_ok(),
                 ));
             }
@@ -486,7 +484,13 @@ impl MayBms {
                         m.scalar_fallbacks.get().saturating_sub(fallbacks_before),
                     );
                     return Ok(StatementResult::Ok {
-                        message: render_analyze(query, stats, &out, elapsed),
+                        message: render_analyze(
+                            query,
+                            stats,
+                            &out,
+                            elapsed,
+                            self.store.is_some(),
+                        ),
                     });
                 }
                 let pipelines = ctx.trace.take().unwrap_or_default();
@@ -656,11 +660,7 @@ impl MayBms {
         filter: Option<&maybms_sql::Expr>,
     ) -> Result<usize> {
         let key = table.to_ascii_lowercase();
-        let target = self.tables.get(&key).ok_or_else(|| {
-            CoreError::Engine(maybms_engine::EngineError::TableNotFound {
-                name: table.to_string(),
-            })
-        })?;
+        let target = self.stored(&key, table)?;
         let schema = target.schema().clone();
         let pred = filter.map(|f| Ok::<_, CoreError>(scalar(f)?.bind(&schema)?)).transpose()?;
         let sets: Vec<(usize, maybms_engine::Expr)> = assignments
@@ -669,61 +669,123 @@ impl MayBms {
                 Ok::<_, CoreError>((schema.index_of(None, c)?, scalar(e)?.bind(&schema)?))
             })
             .collect::<Result<_>>()?;
-        // Build the full post-image off to the side (logged physically:
-        // replaying expressions would be fragile), then commit it as one
-        // atomic replace. An evaluation error leaves the table untouched.
-        let mut rows = target.tuples().to_vec();
-        let mut n = 0;
-        for t in &mut rows {
-            let hit = match &pred {
-                None => true,
-                Some(p) => p.eval_predicate(&t.data)?,
-            };
-            if hit {
-                let mut vals = t.data.values().to_vec();
-                for (i, e) in &sets {
-                    vals[*i] = e.eval(&t.data)?;
-                }
-                t.data = Tuple::new(vals);
-                n += 1;
+        let (batch, wsds) = at_rest(target)?;
+        let (ids, pred_err) = matching_rows(batch, pred.as_ref())?;
+        // Post-images of the hit rows only (logged physically: replaying
+        // expressions would be fragile), each keeping its WSD. Errors
+        // surface in scalar row order — a SET error on a hit row before
+        // the first failing predicate row wins — and leave the table
+        // untouched.
+        let mut rows = Vec::with_capacity(ids.len());
+        let mut old = Vec::with_capacity(batch.arity());
+        let mut ticker = maybms_gov::Ticker::new();
+        for &id in &ids {
+            ticker.tick().map_err(|g| CoreError::Engine(g.into()))?;
+            batch.write_row(id as usize, &mut old);
+            let mut vals = old.clone();
+            for (i, e) in &sets {
+                vals[*i] = e.eval_values(&old)?;
             }
+            rows.push(UTuple::new(Tuple::new(vals), wsds[id as usize].clone()));
         }
+        if let Some(e) = pred_err {
+            return Err(e.into());
+        }
+        let n = ids.len();
         if n > 0 {
-            self.commit(Op::ReplaceRows { table: key, rows })?;
+            self.commit(Op::UpdateRows { table: key, ids, rows })?;
         }
         Ok(n)
     }
 
     fn delete(&mut self, table: &str, filter: Option<&maybms_sql::Expr>) -> Result<usize> {
         let key = table.to_ascii_lowercase();
-        let target = self.tables.get(&key).ok_or_else(|| {
-            CoreError::Engine(maybms_engine::EngineError::TableNotFound {
-                name: table.to_string(),
-            })
-        })?;
+        let target = self.stored(&key, table)?;
         let schema = target.schema().clone();
         let pred = filter.map(|f| Ok::<_, CoreError>(scalar(f)?.bind(&schema)?)).transpose()?;
-        let before = target.len();
-        // Compute the surviving rows first; a predicate error must leave
-        // the table (and the log) untouched.
-        let rows: Vec<UTuple> = match pred {
-            None => Vec::new(),
-            Some(p) => {
-                let mut kept = Vec::new();
-                for t in target.tuples() {
-                    if !p.eval_predicate(&t.data)? {
-                        kept.push(t.clone());
-                    }
-                }
-                kept
-            }
-        };
-        let n = before - rows.len();
+        // A predicate error must leave the table (and the log) untouched.
+        let (ids, pred_err) = matching_rows(at_rest(target)?.0, pred.as_ref())?;
+        if let Some(e) = pred_err {
+            return Err(e.into());
+        }
+        let n = ids.len();
         if n > 0 {
-            self.commit(Op::ReplaceRows { table: key, rows })?;
+            self.commit(Op::DeleteRows { table: key, ids })?;
         }
         Ok(n)
     }
+
+    /// The stored table under catalog key `key` (`name` as written, for
+    /// the error).
+    fn stored(&self, key: &str, name: &str) -> Result<&URelation> {
+        self.tables.get(key).ok_or_else(|| {
+            CoreError::Engine(maybms_engine::EngineError::TableNotFound {
+                name: name.to_string(),
+            })
+        })
+    }
+}
+
+/// A stored table's at-rest batch and WSD sidecar. Every catalog table
+/// is columnar (installs, recovery and DML keep it so).
+fn at_rest(table: &URelation) -> Result<(&ColumnBatch, &[maybms_urel::Wsd])> {
+    table.at_rest().ok_or_else(|| CoreError::Internal {
+        message: "stored table is not columnar at rest".into(),
+    })
+}
+
+/// Ids of the rows of `batch` that satisfy `pred` (every row when there
+/// is none), ascending: the vectorised predicate kernels run over the
+/// batch one morsel at a time, with a governor checkpoint per morsel.
+/// A predicate error is returned beside the ids that passed before the
+/// erroring row, so callers can keep scalar error order.
+fn matching_rows(
+    batch: &ColumnBatch,
+    pred: Option<&maybms_engine::Expr>,
+) -> Result<(Vec<u32>, Option<maybms_engine::EngineError>)> {
+    let n = batch.rows();
+    let Some(pred) = pred else {
+        maybms_gov::check().map_err(|g| CoreError::Engine(g.into()))?;
+        return Ok(((0..n as u32).collect(), None));
+    };
+    let cols: Vec<usize> = (0..batch.arity()).collect();
+    let mut ids = Vec::new();
+    for start in (0..n).step_by(DML_MORSEL) {
+        maybms_gov::check().map_err(|g| CoreError::Engine(g.into()))?;
+        let len = DML_MORSEL.min(n - start);
+        let morsel;
+        let slice = if len == n {
+            batch
+        } else {
+            morsel = batch.slice_cols(start, len, &cols);
+            &morsel
+        };
+        let (sel, err) = maybms_engine::vector::selection(pred, slice);
+        ids.extend(sel.into_iter().map(|i| i + start as u32));
+        if let Some((_, e)) = err {
+            return Ok((ids, Some(e)));
+        }
+    }
+    Ok((ids, None))
+}
+
+/// One slow-query log line (a JSON object): latency, statement kind and
+/// text, stats summary, trace root, WAL bytes appended, outcome.
+fn slow_log_record(
+    elapsed: std::time::Duration,
+    kind: &str,
+    stmt: &Statement,
+    stats: &maybms_obs::QueryStats,
+    ok: bool,
+) -> String {
+    format!(
+        "{{\"ms\":{:.3},\"kind\":\"{kind}\",\"statement\":\"{}\",\"summary\":\"{}\",\"root_span\":{},\"wal_bytes\":{},\"ok\":{ok}}}",
+        elapsed.as_secs_f64() * 1e3,
+        maybms_obs::trace::json_escaped(&stmt.to_string()),
+        maybms_obs::trace::json_escaped(&stats.summary()),
+        stats.root_span().unwrap_or(0),
+        stats.wal_bytes.get(),
+    )
 }
 
 /// Render the measured side of `EXPLAIN ANALYZE`: per-pipeline wall time
@@ -734,6 +796,7 @@ fn render_analyze(
     stats: &maybms_obs::QueryStats,
     out: &QueryOutput,
     elapsed: std::time::Duration,
+    durable: bool,
 ) -> String {
     let mut s = format!("EXPLAIN ANALYZE {query}\n");
     s.push_str("pipeline decomposition (morsel-driven executor, measured):\n");
@@ -804,6 +867,11 @@ fn render_analyze(
     }
     if stats.scalar_fallbacks.get() > 0 {
         s.push_str(&format!("scalar fallbacks: {}\n", stats.scalar_fallbacks.get()));
+    }
+    // WAL traffic, on a durable database (a query appends nothing; the
+    // line makes that visible rather than implied).
+    if durable {
+        s.push_str(&format!("wal: {} byte(s) appended\n", stats.wal_bytes.get()));
     }
     let (rows, kind) = match out {
         QueryOutput::Certain(r) => (r.len(), "t-certain"),
@@ -1091,6 +1159,38 @@ mod tests {
             .unwrap();
         assert_eq!(results.len(), 3);
         assert!(matches!(results[2], StatementResult::Query(_)));
+    }
+
+    #[test]
+    fn wal_bytes_per_statement_reach_stats_explain_and_slow_log() {
+        let mut db =
+            MayBms::open_with_vfs(Arc::new(maybms_store::MemVfs::new())).unwrap();
+        db.run("create table t (a bigint, b text)").unwrap();
+        let before = db.durability_status().unwrap().wal_bytes;
+        let stmt = parse_statement("insert into t values (1, 'x')").unwrap();
+        db.execute(&stmt).unwrap();
+        let appended = db.durability_status().unwrap().wal_bytes - before;
+        let stats = db.last_stats().unwrap().clone();
+        assert!(appended > 0);
+        assert_eq!(stats.wal_bytes.get(), appended);
+        assert!(stats.summary().contains(&format!("{appended} WAL byte(s)")));
+        let line = slow_log_record(std::time::Duration::ZERO, "dml", &stmt, &stats, true);
+        assert!(line.contains(&format!("\"wal_bytes\":{appended},")), "{line}");
+        // Reads append nothing, and EXPLAIN ANALYZE says so.
+        db.query("select a from t").unwrap();
+        assert_eq!(db.last_stats().unwrap().wal_bytes.get(), 0);
+        let StatementResult::Ok { message } = db.run("explain analyze select a from t").unwrap()
+        else {
+            panic!("EXPLAIN ANALYZE must return a message")
+        };
+        assert!(message.contains("wal: 0 byte(s) appended"), "{message}");
+        // An in-memory database has no WAL line.
+        let StatementResult::Ok { message } =
+            db_with_games().run("explain analyze select pts from games").unwrap()
+        else {
+            panic!()
+        };
+        assert!(!message.contains("wal:"), "{message}");
     }
 
     #[test]

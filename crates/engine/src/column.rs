@@ -71,6 +71,14 @@ impl NullMask {
         self.bits[word] |= 1 << (i % 64);
     }
 
+    /// Mark row `i` non-null.
+    #[inline]
+    pub fn clear_null(&mut self, i: usize) {
+        if let Some(w) = self.bits.get_mut(i / 64) {
+            *w &= !(1 << (i % 64));
+        }
+    }
+
     /// True iff any row is null. O(words), with the empty-mask fast path.
     pub fn any(&self) -> bool {
         self.bits.iter().any(|w| *w != 0)
@@ -82,6 +90,20 @@ impl NullMask {
         if self.any() {
             for (j, &i) in sel.iter().enumerate() {
                 if self.is_null(i as usize) {
+                    out.set_null(j);
+                }
+            }
+        }
+        out
+    }
+
+    /// Mask for the rows whose `keep` flag is set, in order.
+    pub fn retain(&self, keep: &[bool]) -> NullMask {
+        let mut out = NullMask::none();
+        if self.any() {
+            let kept = keep.iter().enumerate().filter(|(_, &k)| k);
+            for (j, (i, _)) in kept.enumerate() {
+                if self.is_null(i) {
                     out.set_null(j);
                 }
             }
@@ -109,8 +131,9 @@ impl NullMask {
 /// Codes are assigned in first-appearance order, so encoding is
 /// deterministic for a given row order. Per-entry derived data (the
 /// precomputed key hashes joins and grouping use) is cached once per
-/// dictionary lifetime behind a [`OnceLock`].
-#[derive(Debug, Default)]
+/// dictionary lifetime behind a [`OnceLock`] and dropped whenever a new
+/// entry is interned.
+#[derive(Debug, Default, Clone)]
 pub struct StrDict {
     entries: Vec<Arc<str>>,
     lookup: FastMap<Arc<str>, u32>,
@@ -137,6 +160,7 @@ impl StrDict {
         let code = self.entries.len() as u32;
         self.entries.push(s.clone());
         self.lookup.insert(s.clone(), code);
+        self.hashes.take();
         code
     }
 
@@ -446,6 +470,141 @@ impl Column {
             _ => self.clone(),
         }
     }
+
+    /// Can `v` be stored in this column's current representation with
+    /// its variant and bits intact? (`Values` takes anything; `Const`
+    /// only a bit-identical copy of its value.)
+    fn fits(&self, v: &Value) -> bool {
+        match (&self.data, v) {
+            (ColumnData::Values(_), _) => true,
+            (ColumnData::Const(c), v) => same_cell(c, v),
+            (_, Value::Null) => true,
+            (ColumnData::Int(_), Value::Int(_))
+            | (ColumnData::Float(_), Value::Float(_))
+            | (ColumnData::Bool(_), Value::Bool(_))
+            | (ColumnData::Str(_), Value::Str(_))
+            | (ColumnData::Dict { .. }, Value::Str(_)) => true,
+            _ => false,
+        }
+    }
+
+    /// Store `v` at row `i`, or push it when `i == len`. `v` must
+    /// [`fit`](Column::fits). A new string is interned into the
+    /// dictionary, which is copied first if another column shares it.
+    fn put_fitting(&mut self, i: usize, v: &Value) {
+        fn put<T>(xs: &mut Vec<T>, i: usize, x: T) {
+            if i == xs.len() {
+                xs.push(x);
+            } else {
+                xs[i] = x;
+            }
+        }
+        let null = v.is_null();
+        match (&mut self.data, v) {
+            (ColumnData::Const(_), _) => {}
+            (ColumnData::Values(xs), v) => put(xs, i, v.clone()),
+            (ColumnData::Int(xs), v) => put(xs, i, if let Value::Int(x) = v { *x } else { 0 }),
+            (ColumnData::Float(xs), v) => {
+                put(xs, i, if let Value::Float(x) = v { *x } else { 0.0 })
+            }
+            (ColumnData::Bool(xs), v) => put(xs, i, matches!(v, Value::Bool(true))),
+            (ColumnData::Str(xs), v) => {
+                put(xs, i, if let Value::Str(s) = v { s.clone() } else { Arc::from("") })
+            }
+            (ColumnData::Dict { codes, dict }, v) => {
+                let code = match v {
+                    Value::Str(s) => match dict.code_of(s) {
+                        Some(code) => code,
+                        None => Arc::make_mut(dict).intern(s),
+                    },
+                    _ => 0,
+                };
+                put(codes, i, code);
+            }
+        }
+        if !matches!(self.data, ColumnData::Const(_) | ColumnData::Values(_)) {
+            if null {
+                self.nulls.set_null(i);
+            } else {
+                self.nulls.clear_null(i);
+            }
+        }
+    }
+
+    /// Rebuild from exact per-row values in the tightest representation,
+    /// the way compaction would (strings dictionary-encoded). The
+    /// fallback when a value does not fit the current representation:
+    /// a variant mismatch widens the column to [`ColumnData::Values`].
+    fn rebuild(&mut self, values: Vec<Value>) {
+        let col = Column::from_values(values);
+        *self = match col.data {
+            ColumnData::Str(_) => col.dict_encode(),
+            _ => col,
+        };
+    }
+
+    /// Append `values` in place: amortised O(1) per value while each
+    /// fits the representation, one rebuild otherwise.
+    pub fn append(&mut self, values: &[&Value]) {
+        if values.iter().all(|v| self.fits(v)) {
+            for v in values {
+                self.put_fitting(self.len, v);
+                self.len += 1;
+            }
+        } else {
+            let mut all: Vec<Value> = (0..self.len).map(|i| self.value_at(i)).collect();
+            all.extend(values.iter().map(|&v| v.clone()));
+            self.rebuild(all);
+        }
+    }
+
+    /// Overwrite row `ids[k]` with `values[k]` in place (ids in range;
+    /// a repeated id takes its last value), with the same fit-or-rebuild
+    /// rule as [`Column::append`].
+    pub fn set_cells(&mut self, ids: &[u32], values: &[&Value]) {
+        debug_assert_eq!(ids.len(), values.len());
+        if values.iter().all(|v| self.fits(v)) {
+            for (&i, v) in ids.iter().zip(values) {
+                self.put_fitting(i as usize, v);
+            }
+        } else {
+            let mut all: Vec<Value> = (0..self.len).map(|i| self.value_at(i)).collect();
+            for (&i, &v) in ids.iter().zip(values) {
+                all[i as usize] = v.clone();
+            }
+            self.rebuild(all);
+        }
+    }
+
+    /// Keep only the rows whose `keep` flag is set (`keep.len()` equals
+    /// the row count), in order: a typed in-place compaction.
+    pub fn retain(&mut self, keep: &[bool]) {
+        debug_assert_eq!(keep.len(), self.len);
+        fn retain_vec<T>(xs: &mut Vec<T>, keep: &[bool]) {
+            let mut flags = keep.iter();
+            xs.retain(|_| *flags.next().expect("one flag per row"));
+        }
+        match &mut self.data {
+            ColumnData::Const(_) => {}
+            ColumnData::Int(v) => retain_vec(v, keep),
+            ColumnData::Float(v) => retain_vec(v, keep),
+            ColumnData::Bool(v) => retain_vec(v, keep),
+            ColumnData::Str(v) => retain_vec(v, keep),
+            ColumnData::Dict { codes, .. } => retain_vec(codes, keep),
+            ColumnData::Values(v) => retain_vec(v, keep),
+        }
+        self.nulls = self.nulls.retain(keep);
+        self.len = keep.iter().filter(|&&k| k).count();
+    }
+}
+
+/// Variant- and bit-exact cell equality (`Int(1)` ≠ `Float(1.0)`,
+/// floats by bits).
+fn same_cell(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+        _ => std::mem::discriminant(a) == std::mem::discriminant(b) && a == b,
+    }
 }
 
 /// Incremental [`Column`] builder: starts optimistic (typed on the first
@@ -659,6 +818,36 @@ impl ColumnBatch {
             columns: cols.iter().map(|&c| self.columns[c].slice(start, len)).collect(),
             rows: len,
         }
+    }
+
+    /// Append `rows` (each of the batch's arity) in place, column by
+    /// column — see [`Column::append`].
+    pub fn append(&mut self, rows: &[&[Value]]) {
+        debug_assert!(rows.iter().all(|r| r.len() == self.columns.len()));
+        for (c, col) in self.columns.iter_mut().enumerate() {
+            let values: Vec<&Value> = rows.iter().map(|r| &r[c]).collect();
+            col.append(&values);
+        }
+        self.rows += rows.len();
+    }
+
+    /// Overwrite row `ids[k]` with `rows[k]` in place — see
+    /// [`Column::set_cells`].
+    pub fn set_cells(&mut self, ids: &[u32], rows: &[&[Value]]) {
+        debug_assert!(rows.iter().all(|r| r.len() == self.columns.len()));
+        for (c, col) in self.columns.iter_mut().enumerate() {
+            let values: Vec<&Value> = rows.iter().map(|r| &r[c]).collect();
+            col.set_cells(ids, &values);
+        }
+    }
+
+    /// Keep only the rows whose `keep` flag is set — see
+    /// [`Column::retain`].
+    pub fn retain(&mut self, keep: &[bool]) {
+        for col in &mut self.columns {
+            col.retain(keep);
+        }
+        self.rows = keep.iter().filter(|&&k| k).count();
     }
 
     /// Dictionary-encode every `Str` column (see [`Column::dict_encode`])
@@ -918,6 +1107,90 @@ mod tests {
         assert_eq!(s.rows(), 3);
         assert_eq!(m.pivots.get(), p1);
         assert_eq!(m.pivot_rows.get(), r1);
+    }
+
+    fn values(col: &Column) -> Vec<Value> {
+        (0..col.len()).map(|i| col.value_at(i)).collect()
+    }
+
+    #[test]
+    fn append_set_retain_keep_typed_layout_when_values_fit() {
+        let mut col = Column::from_values(vec![Value::Int(1), Value::Null, Value::Int(3)]);
+        col.append(&[&Value::Int(4), &Value::Null]);
+        col.set_cells(&[1, 0], &[&Value::Int(20), &Value::Null]);
+        assert!(matches!(col.data(), ColumnData::Int(_)));
+        assert_eq!(
+            values(&col),
+            vec![Value::Null, Value::Int(20), Value::Int(3), Value::Int(4), Value::Null]
+        );
+        col.retain(&[false, true, false, true, true]);
+        assert!(matches!(col.data(), ColumnData::Int(_)));
+        assert_eq!(values(&col), vec![Value::Int(20), Value::Int(4), Value::Null]);
+        assert!(col.is_null(2) && !col.is_null(0));
+    }
+
+    #[test]
+    fn misfit_values_widen_exactly() {
+        // Int column, Float value: widened to per-row values, variants kept.
+        let mut col = Column::from_values(vec![Value::Int(1), Value::Int(2)]);
+        col.set_cells(&[1], &[&Value::Float(-0.0)]);
+        assert!(matches!(col.data(), ColumnData::Values(_)));
+        let Value::Float(f) = col.value_at(1) else { panic!("variant lost") };
+        assert!(f.is_sign_negative());
+        assert_eq!(col.value_at(0), Value::Int(1));
+        // All-NULL Const column: the first value types it.
+        let mut col = Column::from_values(vec![Value::Null, Value::Null]);
+        assert!(matches!(col.data(), ColumnData::Const(Value::Null)));
+        col.append(&[&Value::Null]);
+        assert!(matches!(col.data(), ColumnData::Const(Value::Null)));
+        col.append(&[&Value::str("a")]);
+        assert!(matches!(col.data(), ColumnData::Dict { .. }));
+        assert_eq!(values(&col), vec![Value::Null, Value::Null, Value::Null, Value::str("a")]);
+    }
+
+    #[test]
+    fn dict_edits_intern_copy_on_write_and_refresh_hashes() {
+        let mut col =
+            Column::from_values(vec![Value::str("a"), Value::str("b"), Value::str("a")])
+                .dict_encode();
+        let shared = col.clone();
+        let ColumnData::Dict { dict, .. } = shared.data() else { panic!() };
+        assert_eq!(dict.cached_hashes(|e| vec![7; e.len()]).len(), 2);
+        // Known strings reuse their codes: the dictionary stays shared.
+        col.set_cells(&[2], &[&Value::str("b")]);
+        let ColumnData::Dict { dict: d1, .. } = col.data() else { panic!() };
+        assert!(Arc::ptr_eq(dict, d1));
+        // A new string is interned into a private copy.
+        col.append(&[&Value::str("c"), &Value::Null]);
+        let ColumnData::Dict { codes, dict: d2 } = col.data() else { panic!() };
+        assert!(!Arc::ptr_eq(dict, d2));
+        assert_eq!(dict.len(), 2, "the sharer's dictionary is untouched");
+        assert_eq!(codes[..4], [0, 1, 1, 2]);
+        assert_eq!(d2.cached_hashes(|e| vec![7; e.len()]).len(), 3, "stale hash cache dropped");
+        assert_eq!(
+            values(&col),
+            vec![Value::str("a"), Value::str("b"), Value::str("b"), Value::str("c"), Value::Null]
+        );
+        assert_eq!(values(&shared), vec![Value::str("a"), Value::str("b"), Value::str("a")]);
+    }
+
+    #[test]
+    fn batch_edits_keep_rows_in_step() {
+        let rows: Vec<Vec<Value>> =
+            vec![vec![Value::Int(1), Value::str("x")], vec![Value::Int(2), Value::str("y")]];
+        let mut batch =
+            ColumnBatch::pivot(2, rows.iter().map(|r| r.as_slice()), &[0, 1]).dict_encode();
+        let new_row = [Value::Int(3), Value::str("z")];
+        batch.append(&[&new_row]);
+        let upd = [Value::Float(2.5), Value::Null];
+        batch.set_cells(&[1], &[&upd]);
+        batch.retain(&[false, true, true]);
+        assert_eq!(batch.rows(), 2);
+        let mut row = Vec::new();
+        batch.write_row(0, &mut row);
+        assert_eq!(row, upd);
+        batch.write_row(1, &mut row);
+        assert_eq!(row, new_row);
     }
 
     #[test]

@@ -224,6 +224,7 @@ pub struct Metrics {
     pub mc_batches: Counter,
     // maybms-store: durability.
     pub wal_appends: Counter,
+    pub wal_bytes: Counter,
     pub wal_fsync_seconds: Histogram,
     pub checkpoints: Counter,
     pub checkpoint_seconds: Histogram,
@@ -262,6 +263,7 @@ static METRICS: Metrics = Metrics {
     mc_samples: Counter::new(),
     mc_batches: Counter::new(),
     wal_appends: Counter::new(),
+    wal_bytes: Counter::new(),
     wal_fsync_seconds: Histogram::new(IO_BOUNDS),
     checkpoints: Counter::new(),
     checkpoint_seconds: Histogram::new(IO_BOUNDS),
@@ -311,6 +313,7 @@ pub fn render_prometheus() -> String {
     counter("maybms_conf_mc_samples_total", "Monte Carlo samples drawn (fixed-count Karp-Luby draws plus DKLR consumed samples)", &m.mc_samples);
     counter("maybms_conf_mc_batches_total", "Seeded sample batches computed (including speculation)", &m.mc_batches);
     counter("maybms_store_wal_appends_total", "WAL records appended", &m.wal_appends);
+    counter("maybms_store_wal_bytes_total", "WAL bytes appended (framed records)", &m.wal_bytes);
     counter("maybms_store_checkpoints_total", "Atomic snapshot checkpoints written", &m.checkpoints);
     counter("maybms_par_tasks_total", "Tasks executed by the execution pool", &m.par_tasks);
     counter("maybms_query_total", "SQL statements executed", &m.queries);
@@ -453,6 +456,9 @@ pub struct QueryStats {
     pub degraded_conf: Counter,
     /// Rows in the statement's result.
     pub rows_returned: Counter,
+    /// WAL bytes the statement appended (framed records; 0 for reads and
+    /// for in-memory databases).
+    pub wal_bytes: Counter,
     /// Worst observed relative standard error at estimator stop, as f64
     /// bits (positive floats order like their bit patterns, so
     /// `fetch_max` on bits is max on values).
@@ -526,6 +532,9 @@ impl QueryStats {
         }
         if self.scalar_fallbacks.get() > 0 {
             s.push_str(&format!(", {} scalar fallback(s)", self.scalar_fallbacks.get()));
+        }
+        if self.wal_bytes.get() > 0 {
+            s.push_str(&format!(", {} WAL byte(s)", self.wal_bytes.get()));
         }
         s
     }
@@ -636,6 +645,7 @@ mod tests {
         metrics().wal_fsync_seconds.observe(Duration::from_micros(120));
         let text = render_prometheus();
         assert!(text.contains("# TYPE maybms_store_wal_appends_total counter"), "{text}");
+        assert!(text.contains("# TYPE maybms_store_wal_bytes_total counter"), "{text}");
         assert!(text.contains("# TYPE maybms_store_wal_fsync_seconds histogram"), "{text}");
         assert!(text.contains("maybms_store_wal_fsync_seconds_bucket{le=\"+Inf\"}"), "{text}");
         assert!(text.contains("maybms_pipe_morsels_total"), "{text}");

@@ -696,13 +696,14 @@ mod tests {
                 vec!["Duncan".into(), Value::Null],
             ],
         );
-        let mut u = URelation::from_certain(&base);
-        u.tuples_mut()[0].wsd = Wsd::from_assignments(vec![
+        let mut rows = URelation::from_certain(&base).tuples().to_vec();
+        rows[0].wsd = Wsd::from_assignments(vec![
             Assignment::new(Var(3), 1),
             Assignment::new(Var(0), 0),
             Assignment::new(Var(7), 2),
         ])
         .unwrap();
+        let u = URelation::new(base.schema().clone(), rows);
         let mut w = Writer::new();
         put_urelation(&mut w, &u);
         let bytes = w.finish();

@@ -186,8 +186,9 @@ mod tests {
             &[("player", DataType::Text), ("pts", DataType::Int)],
             vec![vec!["Bryant".into(), 40.into()], vec!["Duncan".into(), 25.into()]],
         );
-        let mut u = URelation::from_certain(&base);
-        u.tuples_mut()[0].wsd = Wsd::of(x, 1);
+        let mut rows = URelation::from_certain(&base).tuples().to_vec();
+        rows[0].wsd = Wsd::of(x, 1);
+        let u = URelation::new(base.schema().clone(), rows);
         let mut tables = Catalog::new();
         tables.insert("games".into(), u);
         (tables, wt)

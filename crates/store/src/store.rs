@@ -24,7 +24,7 @@
 
 use std::sync::Arc;
 
-use maybms_urel::{Var, WorldTable};
+use maybms_urel::{URelation, Var, WorldTable};
 
 use crate::codec::{self, Writer};
 use crate::error::{Result, StoreError};
@@ -34,18 +34,25 @@ use crate::wal::{self, Op, WalRecord, WAL_FILE, WAL_MAGIC};
 
 /// Apply one logged operation to a catalog. Shared by live execution
 /// (after the WAL append succeeds) and recovery replay, so the two can
-/// never disagree about what an [`Op`] means. Errors are descriptive
-/// strings; callers wrap them with context (file offset on replay).
+/// never disagree about what an [`Op`] means: row edits go through the
+/// same in-place [`URelation`] methods either way. Errors (a missing
+/// table, a row id past the end, a row of the wrong arity) are
+/// descriptive strings and leave the catalog unchanged; callers wrap
+/// them with context (file offset on replay).
 pub fn apply_op(tables: &mut Catalog, op: Op) -> std::result::Result<(), String> {
+    fn table_mut<'a>(
+        tables: &'a mut Catalog,
+        table: &str,
+        verb: &str,
+    ) -> std::result::Result<&'a mut URelation, String> {
+        tables.get_mut(table).ok_or_else(|| format!("{verb} {table}: no such table"))
+    }
     match op {
         Op::CreateTable { name, schema } => {
             if tables.contains_key(&name) {
                 return Err(format!("create table {name}: already exists"));
             }
-            tables.insert(
-                name,
-                maybms_urel::URelation::empty(Arc::new(schema)),
-            );
+            tables.insert(name, URelation::empty(Arc::new(schema)).compact());
         }
         Op::PutTable { name, table } => {
             if tables.contains_key(&name) {
@@ -54,16 +61,22 @@ pub fn apply_op(tables: &mut Catalog, op: Op) -> std::result::Result<(), String>
             tables.insert(name, table);
         }
         Op::InsertRows { table, rows } => {
-            let t = tables
-                .get_mut(&table)
-                .ok_or_else(|| format!("insert into {table}: no such table"))?;
-            t.tuples_mut().extend(rows);
+            let t = table_mut(tables, &table, "insert into")?;
+            t.append_rows(rows).map_err(|e| format!("insert into {table}: {e}"))?;
+        }
+        Op::UpdateRows { table, ids, rows } => {
+            let t = table_mut(tables, &table, "update")?;
+            t.update_rows(&ids, rows).map_err(|e| format!("update {table}: {e}"))?;
+        }
+        Op::DeleteRows { table, ids } => {
+            let t = table_mut(tables, &table, "delete from")?;
+            t.delete_rows(&ids).map_err(|e| format!("delete from {table}: {e}"))?;
         }
         Op::ReplaceRows { table, rows } => {
-            let t = tables
-                .get_mut(&table)
-                .ok_or_else(|| format!("replace rows of {table}: no such table"))?;
-            *t.tuples_mut() = rows;
+            let t = table_mut(tables, &table, "replace rows of")?;
+            let mut fresh = URelation::empty(t.schema().clone());
+            fresh.append_rows(rows).map_err(|e| format!("replace rows of {table}: {e}"))?;
+            *t = fresh;
         }
         Op::DropTable { name } => {
             if tables.remove(&name).is_none() {
@@ -174,9 +187,7 @@ impl Store {
             let bytes = vfs.read(WAL_FILE)?;
             let scan = wal::scan(&bytes)?;
             let mut stale = 0usize;
-            let mut offset = WAL_MAGIC.len() as u64;
-            for rec in scan.records {
-                let frame_len = 8 + wal::encode_record(&rec).len() as u64;
+            for (rec, offset) in scan.records.into_iter().zip(scan.offsets) {
                 if rec.lsn < base_lsn {
                     // Folded into the snapshot already (crash between
                     // checkpoint rename and WAL reset).
@@ -198,7 +209,6 @@ impl Store {
                     next_lsn = rec.lsn + 1;
                     replayed += 1;
                 }
-                offset += frame_len;
             }
             if stale > 0 && replayed == 0 {
                 // Every record predates the snapshot: finish the
@@ -300,11 +310,12 @@ impl Store {
         r
     }
 
-    /// Append one mutation to the WAL and fsync it. `wt` is the *live*
-    /// world table: any variables beyond the durable count are logged
-    /// with the record, so rows referencing them commit atomically.
-    /// Call this *before* installing the mutation in memory.
-    pub fn log(&mut self, op: &Op, wt: &WorldTable) -> Result<()> {
+    /// Append one mutation to the WAL and fsync it, returning the bytes
+    /// appended (the framed record). `wt` is the *live* world table: any
+    /// variables beyond the durable count are logged with the record, so
+    /// rows referencing them commit atomically. Call this *before*
+    /// installing the mutation in memory.
+    pub fn log(&mut self, op: &Op, wt: &WorldTable) -> Result<u64> {
         self.check_poisoned()?;
         let world_ext = if wt.num_vars() > self.durable_vars {
             let dists = (self.durable_vars..wt.num_vars())
@@ -342,13 +353,15 @@ impl Store {
         });
         self.poison(r)?;
         let m = maybms_obs::metrics();
+        let bytes = frame.len() as u64;
         m.wal_appends.inc();
+        m.wal_bytes.add(bytes);
         m.wal_fsync_seconds.observe(t0.elapsed());
         span.attr("lsn", self.next_lsn);
         self.next_lsn += 1;
         self.durable_vars = wt.num_vars();
-        self.wal_bytes += frame.len() as u64;
-        Ok(())
+        self.wal_bytes += bytes;
+        Ok(bytes)
     }
 
     /// Write an atomic snapshot of the full state and reset the WAL.
@@ -462,15 +475,26 @@ mod tests {
                 table: "t".into(),
                 rows: vec![row(vec![Value::Int(1)]), row(vec![Value::Int(2)])],
             },
+            Op::UpdateRows {
+                table: "t".into(),
+                ids: vec![1],
+                rows: vec![row(vec![Value::Float(2.5)])],
+            },
+            Op::DeleteRows { table: "t".into(), ids: vec![0] },
             Op::ReplaceRows { table: "t".into(), rows: vec![row(vec![Value::Int(9)])] },
+            Op::InsertRows { table: "t".into(), rows: vec![row(vec![Value::Null])] },
         ];
         for op in &ops {
             store.log(op, &wt).unwrap();
             apply_op(&mut rec.tables, op.clone()).unwrap();
         }
+        assert_eq!(
+            rec.tables["t"].tuples(),
+            &[row(vec![Value::Int(9)]), row(vec![Value::Null])]
+        );
         drop(store);
         let (_, rec2) = open_mem(&vfs);
-        assert_eq!(rec2.replayed, 3);
+        assert_eq!(rec2.replayed, 6);
         assert_eq!(rec2.tables, rec.tables);
         assert_eq!(fingerprint(&rec2.tables, &rec2.wt), fingerprint(&rec.tables, &wt));
     }
@@ -510,10 +534,8 @@ mod tests {
         // Now a CTAS stores rows referencing var 1.
         let x = wt.new_var(&[0.5, 0.5]).unwrap();
         let schema = Arc::new(Schema::from_pairs(&[("a", DataType::Int)]));
-        let mut table = URelation::empty(schema);
-        table
-            .tuples_mut()
-            .push(UTuple::new(Tuple::new(vec![Value::Int(1)]), Wsd::of(x, 1)));
+        let row = UTuple::new(Tuple::new(vec![Value::Int(1)]), Wsd::of(x, 1));
+        let table = URelation::new(schema, vec![row]);
         let op = Op::PutTable { name: "picks".into(), table };
         store.log(&op, &wt).unwrap();
         drop(store);
@@ -644,6 +666,43 @@ mod tests {
         assert!(m.wal_appends.get() > appends);
         assert!(m.wal_fsync_seconds.count() > fsyncs);
         assert!(m.checkpoints.get() > checkpoints);
+    }
+
+    #[test]
+    fn out_of_range_row_id_is_a_typed_recovery_error() {
+        let vfs = MemVfs::new();
+        let wt = WorldTable::new();
+        let (mut store, _) = open_mem(&vfs);
+        let create = Op::CreateTable {
+            name: "t".into(),
+            schema: Schema::from_pairs(&[("a", DataType::Int)]),
+        };
+        store.log(&create, &wt).unwrap();
+        let insert = Op::InsertRows { table: "t".into(), rows: vec![row(vec![Value::Int(1)])] };
+        store.log(&insert, &wt).unwrap();
+        let bad_at = WAL_MAGIC.len() as u64 + store.status().wal_bytes;
+        // A record naming a row the table never had (hand-made: live DML
+        // only logs ids it just matched).
+        store.log(&Op::DeleteRows { table: "t".into(), ids: vec![1] }, &wt).unwrap();
+        drop(store);
+        match Store::open(Arc::new(vfs.clone())) {
+            Err(StoreError::Corrupt { path, offset, reason }) => {
+                assert_eq!(path, WAL_FILE);
+                assert_eq!(offset, bad_at);
+                assert!(reason.contains("row id 1 out of range (1 rows)"), "{reason}");
+            }
+            other => panic!("expected a corrupt-WAL error, got {other:?}"),
+        }
+        let mut tables = Catalog::new();
+        apply_op(&mut tables, create).unwrap();
+        apply_op(&mut tables, insert).unwrap();
+        let update = Op::UpdateRows {
+            table: "t".into(),
+            ids: vec![3],
+            rows: vec![row(vec![Value::Int(2)])],
+        };
+        assert!(apply_op(&mut tables, update).unwrap_err().contains("row id 3"));
+        assert_eq!(tables["t"].tuples(), &[row(vec![Value::Int(1)])], "failed op changed nothing");
     }
 
     #[test]

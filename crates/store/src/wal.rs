@@ -12,6 +12,25 @@
 //! new random variables and the table rows referencing them commit
 //! together), and the [`Op`] itself.
 //!
+//! Op tags, as this build writes them:
+//!
+//! | tag | op | payload |
+//! |---|---|---|
+//! | 0 | [`Op::CreateTable`] | name, schema |
+//! | 2 | [`Op::InsertRows`] | table, appended rows |
+//! | 4 | [`Op::DropTable`] | name |
+//! | 5 | [`Op::PutTable`] | name, representation-preserving table image |
+//! | 6 | [`Op::UpdateRows`] | table, (row id, post-image) pairs of the hit rows |
+//! | 7 | [`Op::DeleteRows`] | table, row ids |
+//!
+//! DML records are O(change): a one-row UPDATE logs one row, a one-row
+//! DELETE one id. Row ids are positions in the table at the time of the
+//! statement; replay applies the same ops in the same order from the
+//! same snapshot, so it reaches the same positions. Two older tags stay
+//! decodable so data directories written by earlier builds recover:
+//! tag 1 (a row-image [`Op::PutTable`]) and tag 3 ([`Op::ReplaceRows`],
+//! the full post-statement table that UPDATE/DELETE used to log).
+//!
 //! Replay semantics ([`scan`]): records are applied in file order. A
 //! record whose frame is incomplete or whose CRC does not match is a
 //! *torn tail* — the crash interrupted the append — and replay stops
@@ -60,8 +79,27 @@ pub enum Op {
         /// The appended rows.
         rows: Vec<UTuple>,
     },
-    /// `UPDATE` / `DELETE`: the table's full post-statement row list
-    /// (schema unchanged).
+    /// `UPDATE`: the post-images (data and WSD) of the hit rows, by
+    /// row id.
+    UpdateRows {
+        /// Catalog key (lowercased).
+        table: String,
+        /// Positions of the updated rows (parallel to `rows`).
+        ids: Vec<u32>,
+        /// Their post-statement images.
+        rows: Vec<UTuple>,
+    },
+    /// `DELETE`: the removed rows, by row id.
+    DeleteRows {
+        /// Catalog key (lowercased).
+        table: String,
+        /// Positions of the deleted rows.
+        ids: Vec<u32>,
+    },
+    /// The table's full post-statement row list (schema unchanged) —
+    /// what UPDATE / DELETE logged before [`Op::UpdateRows`] and
+    /// [`Op::DeleteRows`]. Decoded and replayed for old WALs; no
+    /// statement logs it any more.
     ReplaceRows {
         /// Catalog key (lowercased).
         table: String,
@@ -82,6 +120,8 @@ impl Op {
             Op::CreateTable { name, .. } => format!("create {name}"),
             Op::PutTable { name, table } => format!("put {name} ({} rows)", table.len()),
             Op::InsertRows { table, rows } => format!("insert {table} (+{} rows)", rows.len()),
+            Op::UpdateRows { table, ids, .. } => format!("update {table} ({} rows)", ids.len()),
+            Op::DeleteRows { table, ids } => format!("delete {table} (-{} rows)", ids.len()),
             Op::ReplaceRows { table, rows } => {
                 format!("replace {table} ({} rows)", rows.len())
             }
@@ -123,6 +163,44 @@ fn get_rows(r: &mut Reader<'_>) -> codec::DecodeResult<Vec<UTuple>> {
     Ok(rows)
 }
 
+fn put_ids(w: &mut Writer, ids: &[u32]) {
+    w.put_u32(ids.len() as u32);
+    for &id in ids {
+        w.put_u32(id);
+    }
+}
+
+fn get_ids(r: &mut Reader<'_>) -> codec::DecodeResult<Vec<u32>> {
+    let n = r.u32()? as usize;
+    let mut ids = Vec::with_capacity(n.min(1 << 16));
+    for _ in 0..n {
+        ids.push(r.u32()?);
+    }
+    Ok(ids)
+}
+
+/// `UpdateRows` payload: count, then `(id, post-image)` pairs — so a
+/// decoded record always has one row per id.
+fn put_id_rows(w: &mut Writer, ids: &[u32], rows: &[UTuple]) {
+    debug_assert_eq!(ids.len(), rows.len());
+    w.put_u32(ids.len() as u32);
+    for (&id, t) in ids.iter().zip(rows) {
+        w.put_u32(id);
+        codec::put_utuple(w, t);
+    }
+}
+
+fn get_id_rows(r: &mut Reader<'_>) -> codec::DecodeResult<(Vec<u32>, Vec<UTuple>)> {
+    let n = r.u32()? as usize;
+    let mut ids = Vec::with_capacity(n.min(1 << 16));
+    let mut rows = Vec::with_capacity(n.min(1 << 16));
+    for _ in 0..n {
+        ids.push(r.u32()?);
+        rows.push(codec::get_utuple(r)?);
+    }
+    Ok((ids, rows))
+}
+
 /// Encode a record payload (no framing).
 pub fn encode_record(rec: &WalRecord) -> Vec<u8> {
     let mut w = Writer::new();
@@ -142,20 +220,11 @@ pub fn encode_record(rec: &WalRecord) -> Vec<u8> {
             codec::put_schema(&mut w, schema);
         }
         Op::PutTable { name, table } => {
-            // Columnar-at-rest tables log under tag 5 so the exact
-            // representation (dictionaries included) replays without a
-            // re-pivot; row-major tables keep the pre-columnar tag 1,
-            // so a store running with MAYBMS_COLUMNAR_STORE=0 appends
-            // records any pre-refactor reader could still decode.
-            if table.is_columnar() {
-                w.put_u8(5);
-                w.put_str(name);
-                codec::put_urelation_any(&mut w, table);
-            } else {
-                w.put_u8(1);
-                w.put_str(name);
-                codec::put_urelation(&mut w, table);
-            }
+            // The exact representation (dictionaries included) replays
+            // without a re-pivot.
+            w.put_u8(5);
+            w.put_str(name);
+            codec::put_urelation_any(&mut w, table);
         }
         Op::InsertRows { table, rows } => {
             w.put_u8(2);
@@ -170,6 +239,16 @@ pub fn encode_record(rec: &WalRecord) -> Vec<u8> {
         Op::DropTable { name } => {
             w.put_u8(4);
             w.put_str(name);
+        }
+        Op::UpdateRows { table, ids, rows } => {
+            w.put_u8(6);
+            w.put_str(table);
+            put_id_rows(&mut w, ids, rows);
+        }
+        Op::DeleteRows { table, ids } => {
+            w.put_u8(7);
+            w.put_str(table);
+            put_ids(&mut w, ids);
         }
     }
     w.finish()
@@ -200,6 +279,12 @@ pub fn decode_record(payload: &[u8]) -> codec::DecodeResult<WalRecord> {
         3 => Op::ReplaceRows { table: r.str()?, rows: get_rows(&mut r)? },
         4 => Op::DropTable { name: r.str()? },
         5 => Op::PutTable { name: r.str()?, table: codec::get_urelation_any(&mut r)? },
+        6 => {
+            let table = r.str()?;
+            let (ids, rows) = get_id_rows(&mut r)?;
+            Op::UpdateRows { table, ids, rows }
+        }
+        7 => Op::DeleteRows { table: r.str()?, ids: get_ids(&mut r)? },
         t => {
             return Err(codec::CodecError {
                 offset: r.offset(),
@@ -231,6 +316,8 @@ pub fn frame_record(rec: &WalRecord) -> Vec<u8> {
 pub struct WalScan {
     /// The decoded records, in file order.
     pub records: Vec<WalRecord>,
+    /// File offset of each record's frame (parallel to `records`).
+    pub offsets: Vec<u64>,
     /// Length of the valid prefix (bytes). Anything past this is a torn
     /// tail and should be truncated before appending resumes.
     pub valid_len: u64,
@@ -248,37 +335,46 @@ pub fn scan(bytes: &[u8]) -> Result<WalScan> {
         if *bytes != WAL_MAGIC[..bytes.len()] {
             return Err(StoreError::corrupt(WAL_FILE, 0, "bad WAL magic"));
         }
-        return Ok(WalScan { records: Vec::new(), valid_len: 0, torn: !bytes.is_empty() });
+        return Ok(WalScan {
+            records: Vec::new(),
+            offsets: Vec::new(),
+            valid_len: 0,
+            torn: !bytes.is_empty(),
+        });
     }
     if &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
         return Err(StoreError::corrupt(WAL_FILE, 0, "bad WAL magic"));
     }
     let mut records = Vec::new();
+    let mut offsets = Vec::new();
     let mut pos = WAL_MAGIC.len();
     loop {
         let remaining = bytes.len() - pos;
         if remaining == 0 {
-            return Ok(WalScan { records, valid_len: pos as u64, torn: false });
+            return Ok(WalScan { records, offsets, valid_len: pos as u64, torn: false });
         }
         if remaining < 8 {
-            return Ok(WalScan { records, valid_len: pos as u64, torn: true });
+            return Ok(WalScan { records, offsets, valid_len: pos as u64, torn: true });
         }
         let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes"))
             as usize;
         let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
         if len > remaining - 8 {
             // Frame promises more bytes than the file holds: torn append.
-            return Ok(WalScan { records, valid_len: pos as u64, torn: true });
+            return Ok(WalScan { records, offsets, valid_len: pos as u64, torn: true });
         }
         let payload = &bytes[pos + 8..pos + 8 + len];
         if codec::crc32(payload) != crc {
             // Checksum mismatch: the append tore inside the payload (or
             // the tail rotted). Either way nothing after it can be
             // trusted — stop cleanly at the last good record.
-            return Ok(WalScan { records, valid_len: pos as u64, torn: true });
+            return Ok(WalScan { records, offsets, valid_len: pos as u64, torn: true });
         }
         match decode_record(payload) {
-            Ok(rec) => records.push(rec),
+            Ok(rec) => {
+                records.push(rec);
+                offsets.push(pos as u64);
+            }
             Err(e) => {
                 // CRC-valid but undecodable: not a crash artifact.
                 return Err(StoreError::corrupt(
@@ -326,6 +422,11 @@ mod tests {
         let bytes = wal_bytes(&recs);
         let scan = scan(&bytes).unwrap();
         assert_eq!(scan.records, recs);
+        let mut offset = WAL_MAGIC.len() as u64;
+        for (rec, &at) in recs.iter().zip(&scan.offsets) {
+            assert_eq!(at, offset);
+            offset += frame_record(rec).len() as u64;
+        }
         assert_eq!(scan.valid_len, bytes.len() as u64);
         assert!(!scan.torn);
     }
@@ -361,23 +462,49 @@ mod tests {
     }
 
     #[test]
-    fn row_major_put_table_still_logs_under_pre_columnar_tag() {
+    fn legacy_row_image_put_table_tag_still_decodes() {
         use maybms_engine::rel;
         use maybms_urel::URelation;
         let base = rel(&[("n", DataType::Int)], vec![vec![1.into()]]);
         let table = URelation::from_certain(&base);
         assert!(!table.is_columnar());
-        let record = WalRecord {
-            lsn: 1,
+        // Tag 1 as earlier builds wrote it: the bare row image.
+        let mut w = Writer::new();
+        w.put_u64(1);
+        w.put_u8(0);
+        w.put_u8(1);
+        w.put_str("t");
+        codec::put_urelation(&mut w, &table);
+        let decoded = decode_record(&w.finish()).unwrap();
+        let op = Op::PutTable { name: "t".into(), table };
+        let want = WalRecord { lsn: 1, world_ext: None, op };
+        assert_eq!(decoded, want);
+        // This build logs every table image under the columnar tag 5.
+        assert_eq!(encode_record(&want)[9], 5);
+    }
+
+    #[test]
+    fn row_id_ops_roundtrip_and_stay_small() {
+        use maybms_engine::{Tuple, Value};
+        use maybms_urel::{Var, Wsd};
+        let row = UTuple::new(Tuple::new(vec![Value::Int(7), Value::str("x")]), Wsd::of(Var(2), 1));
+        let update = WalRecord {
+            lsn: 3,
             world_ext: None,
-            op: Op::PutTable { name: "t".into(), table },
+            op: Op::UpdateRows { table: "t".into(), ids: vec![41], rows: vec![row] },
         };
-        let payload = encode_record(&record);
-        // Offset 8 (lsn) + 1 (world-ext tag): the op tag must be the
-        // pre-columnar 1, keeping row-image appends readable by older
-        // builds.
-        assert_eq!(payload[9], 1);
-        assert_eq!(decode_record(&payload).unwrap(), record);
+        let delete = WalRecord {
+            lsn: 4,
+            world_ext: None,
+            op: Op::DeleteRows { table: "t".into(), ids: vec![0, 9_999] },
+        };
+        for rec in [&update, &delete] {
+            let payload = encode_record(rec);
+            assert!(payload.len() < 64, "{} bytes for {:?}", payload.len(), rec.op);
+            assert_eq!(&decode_record(&payload).unwrap(), rec);
+        }
+        assert_eq!(encode_record(&update)[9], 6);
+        assert_eq!(encode_record(&delete)[9], 7);
     }
 
     #[test]

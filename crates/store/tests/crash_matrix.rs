@@ -44,7 +44,9 @@ fn certain(vals: Vec<Value>) -> UTuple {
     UTuple::certain(Tuple::new(vals))
 }
 
-/// A workload touching every op kind, with uncertainty (world-table
+/// A workload touching every op kind (the legacy whole-table
+/// `ReplaceRows` included: it is still replayed from old WALs), with
+/// uncertainty (world-table
 /// extensions riding on records), a mid-stream checkpoint, a burnt
 /// variable (created by a query, never stored), and adversarial values
 /// (non-representable floats, a `;` in a string).
@@ -55,19 +57,20 @@ fn workload() -> Vec<Step> {
         ("c", DataType::Text),
     ]);
     let picks_schema = Schema::from_pairs(&[("a", DataType::Int)]);
-    let mut picks = URelation::empty(Arc::new(picks_schema));
-    picks.tuples_mut().push(UTuple::new(
-        Tuple::new(vec![Value::Int(10)]),
-        Wsd::of(Var(0), 1),
-    ));
-    picks.tuples_mut().push(UTuple::new(
-        Tuple::new(vec![Value::Int(20)]),
-        Wsd::from_assignments(vec![
-            Assignment::new(Var(0), 0),
-            Assignment::new(Var(1), 1),
-        ])
-        .expect("satisfiable"),
-    ));
+    let picks = URelation::new(
+        Arc::new(picks_schema),
+        vec![
+            UTuple::new(Tuple::new(vec![Value::Int(10)]), Wsd::of(Var(0), 1)),
+            UTuple::new(
+                Tuple::new(vec![Value::Int(20)]),
+                Wsd::from_assignments(vec![
+                    Assignment::new(Var(0), 0),
+                    Assignment::new(Var(1), 1),
+                ])
+                .expect("satisfiable"),
+            ),
+        ],
+    );
     vec![
         step(Op::CreateTable { name: "t".into(), schema: t_schema }),
         step(Op::InsertRows {
@@ -100,6 +103,27 @@ fn workload() -> Vec<Step> {
                 rows: vec![certain(vec![Value::Int(3), Value::Null, Value::Null])],
             }),
         },
+        // Row-id edits: a text cell rewritten to a string the dictionary
+        // has never seen, an int cell widened to a float, then a delete
+        // that shifts the survivors' row ids.
+        step(Op::UpdateRows {
+            table: "t".into(),
+            ids: vec![0, 2],
+            rows: vec![
+                certain(vec![Value::Int(1), Value::Float(-0.0), Value::str("new")]),
+                certain(vec![Value::Float(3.5), Value::Null, Value::str("x")]),
+            ],
+        }),
+        step(Op::DeleteRows { table: "t".into(), ids: vec![1] }),
+        step(Op::UpdateRows {
+            table: "picks".into(),
+            ids: vec![1],
+            rows: vec![UTuple::new(
+                Tuple::new(vec![Value::Int(21)]),
+                Wsd::of(Var(1), 0),
+            )],
+        }),
+        step(Op::DeleteRows { table: "picks".into(), ids: vec![0] }),
         step(Op::ReplaceRows {
             table: "picks".into(),
             rows: vec![UTuple::new(
@@ -174,7 +198,7 @@ fn faulted_run(
                     wt.new_var(d).expect("live var");
                 }
                 let r = match &s.action {
-                    Action::Apply(op) => store.log(op, &wt).map(|()| {
+                    Action::Apply(op) => store.log(op, &wt).map(|_| {
                         apply_op(&mut tables, op.clone()).expect("validated op applies")
                     }),
                     Action::Checkpoint => store.checkpoint(&tables, &wt),
@@ -248,24 +272,48 @@ fn run_matrix(mode: FaultMode) {
     assert!(points >= 20, "matrix covered only {points} fault points");
 }
 
-/// A data directory written *before* the columnar refactor — no
-/// snapshot, a WAL holding only row-image records (op tags 0–4, exactly
-/// what row-major tables still encode to) — must recover cleanly, and a
-/// checkpoint taken afterwards re-persists the state in the current
-/// format without losing a row.
+/// Frame `rec` the way builds before the columnar store wrote it: a
+/// table image as a bare row image under op tag 1 (this build writes
+/// tag 5, whose body is a representation tag followed by the same row
+/// image). Other ops frame unchanged.
+fn legacy_frame(rec: &maybms_store::wal::WalRecord) -> Vec<u8> {
+    use maybms_store::{codec, wal};
+    let mut payload = wal::encode_record(rec);
+    if let Op::PutTable { name, .. } = &rec.op {
+        // The op tag follows the 8-byte LSN and the world extension.
+        let prefix = wal::encode_record(&wal::WalRecord {
+            lsn: rec.lsn,
+            world_ext: rec.world_ext.clone(),
+            op: Op::DropTable { name: String::new() },
+        })
+        .len()
+            - 5;
+        assert_eq!(payload[prefix], 5);
+        payload[prefix] = 1;
+        let rep_tag = prefix + 1 + 4 + name.len();
+        assert_eq!(payload.remove(rep_tag), 0, "fixture table must be a row image");
+    }
+    let mut out = (payload.len() as u32).to_le_bytes().to_vec();
+    out.extend_from_slice(&codec::crc32(&payload).to_le_bytes());
+    out.extend_from_slice(&payload);
+    out
+}
+
+/// A data directory written *before* the columnar refactor and the
+/// row-id DML records — no snapshot, a WAL holding only row-image
+/// records (op tags 0–4: a tag-1 table image, a tag-3 whole-table
+/// `ReplaceRows`) — must recover cleanly, and a checkpoint taken
+/// afterwards re-persists the state in the current format without
+/// losing a row.
 #[test]
 fn pre_refactor_row_image_wal_recovers() {
     use maybms_store::wal;
 
     let t_schema = Schema::from_pairs(&[("a", DataType::Int), ("c", DataType::Text)]);
-    let mut old_table = URelation::empty(Arc::new(Schema::from_pairs(&[(
-        "a",
-        DataType::Int,
-    )])));
-    old_table.tuples_mut().push(UTuple::new(
-        Tuple::new(vec![Value::Int(10)]),
-        Wsd::of(Var(0), 1),
-    ));
+    let old_table = URelation::new(
+        Arc::new(Schema::from_pairs(&[("a", DataType::Int)])),
+        vec![UTuple::new(Tuple::new(vec![Value::Int(10)]), Wsd::of(Var(0), 1))],
+    );
     assert!(!old_table.is_columnar(), "fixture must be a row image");
     let records = vec![
         wal::WalRecord {
@@ -286,11 +334,22 @@ fn pre_refactor_row_image_wal_recovers() {
             world_ext: Some((0, vec![vec![0.4, 0.6]])),
             op: Op::PutTable { name: "picks".into(), table: old_table },
         },
+        wal::WalRecord {
+            lsn: 3,
+            world_ext: None,
+            op: Op::ReplaceRows {
+                table: "t".into(),
+                rows: vec![
+                    certain(vec![Value::Int(2), Value::str("y")]),
+                    certain(vec![Value::Int(3), Value::Null]),
+                ],
+            },
+        },
     ];
     let mem = MemVfs::new();
     let mut bytes = wal::WAL_MAGIC.to_vec();
     for r in &records {
-        bytes.extend_from_slice(&wal::frame_record(r));
+        bytes.extend_from_slice(&legacy_frame(r));
     }
     let mut f = mem.create(wal::WAL_FILE).unwrap();
     f.append(&bytes).unwrap();
@@ -299,7 +358,13 @@ fn pre_refactor_row_image_wal_recovers() {
 
     let (mut store, rec) = Store::open(Arc::new(mem.clone())).expect("legacy WAL recovers");
     assert_eq!(rec.tables.len(), 2);
-    assert_eq!(rec.tables["t"].len(), 1);
+    assert_eq!(
+        rec.tables["t"].tuples(),
+        &[
+            certain(vec![Value::Int(2), Value::str("y")]),
+            certain(vec![Value::Int(3), Value::Null]),
+        ]
+    );
     assert_eq!(rec.tables["picks"].len(), 1);
     assert_eq!(rec.wt.num_vars(), 1);
     let fp = fingerprint(&rec.tables, &rec.wt);

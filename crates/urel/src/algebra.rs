@@ -339,12 +339,12 @@ mod tests {
                 vec!["Duncan".into(), "SL".into()],
             ],
         );
-        let mut u = URelation::from_certain(&base);
-        u.tuples_mut()[0].wsd = Wsd::of(x, 0);
-        u.tuples_mut()[1].wsd = Wsd::of(x, 1);
-        u.tuples_mut()[2].wsd = Wsd::of(y, 0);
-        u.tuples_mut()[3].wsd = Wsd::of(y, 1);
-        (wt, u)
+        let mut rows = URelation::from_certain(&base).tuples().to_vec();
+        rows[0].wsd = Wsd::of(x, 0);
+        rows[1].wsd = Wsd::of(x, 1);
+        rows[2].wsd = Wsd::of(y, 0);
+        rows[3].wsd = Wsd::of(y, 1);
+        (wt, URelation::new(base.schema().clone(), rows))
     }
 
     #[test]

@@ -57,6 +57,14 @@ pub enum UrelError {
         /// Description.
         message: String,
     },
+    /// A row-id edit (UPDATE/DELETE by position) named a row the
+    /// relation does not have.
+    RowIdOutOfRange {
+        /// The offending row id.
+        id: u32,
+        /// The relation's row count.
+        rows: usize,
+    },
 }
 
 impl fmt::Display for UrelError {
@@ -84,6 +92,9 @@ impl fmt::Display for UrelError {
             ),
             UrelError::BadDecomposition { message } => {
                 write!(f, "invalid vertical decomposition: {message}")
+            }
+            UrelError::RowIdOutOfRange { id, rows } => {
+                write!(f, "row id {id} out of range ({rows} rows)")
             }
         }
     }

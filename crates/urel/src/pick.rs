@@ -195,9 +195,10 @@ mod tests {
     fn pick_tuples_u_requires_t_certain() {
         let mut wt = WorldTable::new();
         let r = three_rows();
-        let mut u = URelation::from_certain(&r);
         let x = wt.new_var(&[0.5, 0.5]).unwrap();
-        u.tuples_mut()[0].wsd = Wsd::of(x, 1);
+        let mut rows = URelation::from_certain(&r).tuples().to_vec();
+        rows[0].wsd = Wsd::of(x, 1);
+        let u = URelation::new(r.schema().clone(), rows);
         assert!(matches!(
             pick_tuples_u(&u, &PickTuplesOptions::default(), &mut wt),
             Err(UrelError::NotTCertain { .. })

@@ -305,9 +305,10 @@ mod tests {
     fn repair_key_u_requires_t_certain() {
         let mut wt = WorldTable::new();
         let r = rel(&[("k", DataType::Int)], vec![vec![1.into()], vec![1.into()]]);
-        let mut u = URelation::from_certain(&r);
         let x = wt.new_var(&[0.5, 0.5]).unwrap();
-        u.tuples_mut()[0].wsd = Wsd::of(x, 0);
+        let mut rows = URelation::from_certain(&r).tuples().to_vec();
+        rows[0].wsd = Wsd::of(x, 0);
+        let u = URelation::new(r.schema().clone(), rows);
         let out = repair_key_u(&u, &[Expr::col("k")], &RepairKeyOptions::default(), &mut wt);
         assert!(matches!(out, Err(UrelError::NotTCertain { .. })));
     }

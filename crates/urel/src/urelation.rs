@@ -23,16 +23,22 @@
 //! strings included) with the per-tuple WSDs kept as a parallel sidecar
 //! vector — the at-rest representation catalog installs produce via
 //! [`URelation::compact`]. The `UTuple` row view is materialised lazily,
-//! once; mutation ([`URelation::tuples_mut`]) decays the store to rows
-//! first, so the at-rest batch never changes after construction and scans
-//! can borrow column slices from it without per-morsel pivots.
+//! once, and dropped by every mutation.
+//!
+//! DML edits the at-rest batch in place, in proportion to the change:
+//! [`URelation::append_rows`], [`URelation::update_rows`] and
+//! [`URelation::delete_rows`] address rows by position (row id) and
+//! never pivot. They mutate through `Arc::make_mut`, so a body another
+//! clone still shares is copied first (columns, not rows) and the
+//! sharer keeps the old version. Scans borrow column slices from the
+//! batch without per-morsel pivots.
 
 use std::sync::{Arc, OnceLock};
 
 use maybms_engine::tuple::TupleBatch;
-use maybms_engine::{ColumnBatch, Relation, Schema, Tuple};
+use maybms_engine::{Column, ColumnBatch, Relation, Schema, Tuple, Value};
 
-use crate::error::Result;
+use crate::error::{Result, UrelError};
 use crate::world_table::WorldTable;
 use crate::wsd::Wsd;
 
@@ -78,9 +84,9 @@ enum Store {
     Columnar(Arc<ColumnarURel>),
 }
 
-/// An immutable columnar U-relation body: data columns, parallel WSDs,
-/// and the lazily materialised `UTuple` view (built at most once; all
-/// clones share it through the `Arc`).
+/// A columnar U-relation body: data columns, parallel WSDs, and the
+/// lazily materialised `UTuple` view (built at most once per version;
+/// all clones share it through the `Arc`).
 #[derive(Debug)]
 struct ColumnarURel {
     batch: ColumnBatch,
@@ -99,12 +105,13 @@ impl ColumnarURel {
             zip_batch(self.batch.to_tuple_batch(), self.wsds.clone())
         })
     }
+}
 
-    fn into_rows(self) -> Vec<UTuple> {
-        match self.rows.into_inner() {
-            Some(rows) => rows,
-            None => zip_batch(self.batch.to_tuple_batch(), self.wsds),
-        }
+// A copy-on-write clone (see `URelation::body_mut`) copies the columns
+// and WSDs; the row view is about to go stale, so it is not copied.
+impl Clone for ColumnarURel {
+    fn clone(&self) -> ColumnarURel {
+        ColumnarURel::new(self.batch.clone(), self.wsds.clone())
     }
 }
 
@@ -190,18 +197,24 @@ impl URelation {
 
     /// A columnar-at-rest copy: data columns pivoted once (counted by
     /// the pivot metrics) and dictionary-encoded, WSDs in a parallel
-    /// sidecar. Already-columnar input returns a cheap `Arc` clone.
+    /// sidecar. Already-columnar input returns a cheap `Arc` clone; an
+    /// empty row store needs no pivot.
     pub fn compact(&self) -> URelation {
         match &self.store {
             Store::Columnar(_) => self.clone(),
             Store::Rows(tuples) => {
                 let cols: Vec<usize> = (0..self.schema.len()).collect();
-                let batch = ColumnBatch::pivot(
-                    tuples.len(),
-                    tuples.iter().map(|t| t.data.values()),
-                    &cols,
-                )
-                .dict_encode();
+                let batch = if tuples.is_empty() {
+                    let empty = cols.iter().map(|_| Column::from_const(Value::Null, 0));
+                    ColumnBatch::from_columns(empty.collect(), 0)
+                } else {
+                    ColumnBatch::pivot(
+                        tuples.len(),
+                        tuples.iter().map(|t| t.data.values()),
+                        &cols,
+                    )
+                    .dict_encode()
+                };
                 let wsds = tuples.iter().map(|t| t.wsd.clone()).collect();
                 URelation {
                     schema: self.schema.clone(),
@@ -211,23 +224,86 @@ impl URelation {
         }
     }
 
-    /// Mutable access (updates). Decays a columnar store to rows first —
-    /// the at-rest batch itself never mutates.
-    pub fn tuples_mut(&mut self) -> &mut Vec<UTuple> {
-        if matches!(self.store, Store::Columnar(_)) {
-            let store = std::mem::replace(&mut self.store, Store::Rows(Vec::new()));
-            if let Store::Columnar(arc) = store {
-                let rows = match Arc::try_unwrap(arc) {
-                    Ok(body) => body.into_rows(),
-                    Err(arc) => arc.rows().to_vec(),
-                };
-                self.store = Store::Rows(rows);
-            }
+    /// The columnar body, for an in-place edit: a row store is compacted
+    /// first, a shared body is copied, and the cached row view dropped.
+    fn body_mut(&mut self) -> &mut ColumnarURel {
+        if !self.is_columnar() {
+            *self = self.compact();
         }
-        match &mut self.store {
-            Store::Rows(t) => t,
-            Store::Columnar(_) => unreachable!("just decayed"),
+        let Store::Columnar(arc) = &mut self.store else {
+            unreachable!("compacted above")
+        };
+        let body = Arc::make_mut(arc);
+        body.rows.take();
+        body
+    }
+
+    fn check_arity(&self, rows: &[UTuple]) -> Result<()> {
+        let arity = self.schema.len();
+        match rows.iter().find(|t| t.data.arity() != arity) {
+            Some(t) => Err(UrelError::Engine(maybms_engine::EngineError::SchemaMismatch {
+                message: format!("row arity {} vs table arity {arity}", t.data.arity()),
+            })),
+            None => Ok(()),
         }
+    }
+
+    fn check_ids(&self, ids: &[u32]) -> Result<()> {
+        let rows = self.len();
+        match ids.iter().find(|&&id| id as usize >= rows) {
+            Some(&id) => Err(UrelError::RowIdOutOfRange { id, rows }),
+            None => Ok(()),
+        }
+    }
+
+    /// Append `rows` (INSERT): amortised O(1) per row, no pivot. Rows
+    /// must match the schema's arity; on error nothing changes.
+    pub fn append_rows(&mut self, rows: Vec<UTuple>) -> Result<()> {
+        self.check_arity(&rows)?;
+        let body = self.body_mut();
+        let data: Vec<&[Value]> = rows.iter().map(|t| t.data.values()).collect();
+        body.batch.append(&data);
+        body.wsds.extend(rows.iter().map(|t| t.wsd.clone()));
+        Ok(())
+    }
+
+    /// Overwrite row `ids[k]` with `rows[k]`, data and WSD (UPDATE's
+    /// post-images). Every id must be in range and every row match the
+    /// schema's arity; on error nothing changes.
+    pub fn update_rows(&mut self, ids: &[u32], rows: Vec<UTuple>) -> Result<()> {
+        if ids.len() != rows.len() {
+            return Err(UrelError::Engine(maybms_engine::EngineError::SchemaMismatch {
+                message: format!("{} row ids for {} rows", ids.len(), rows.len()),
+            }));
+        }
+        self.check_arity(&rows)?;
+        self.check_ids(ids)?;
+        let body = self.body_mut();
+        let data: Vec<&[Value]> = rows.iter().map(|t| t.data.values()).collect();
+        body.batch.set_cells(ids, &data);
+        for (&id, t) in ids.iter().zip(rows) {
+            body.wsds[id as usize] = t.wsd;
+        }
+        Ok(())
+    }
+
+    /// Remove the rows at `ids` (DELETE); the survivors keep their
+    /// order, so later row ids shift down. Every id must be in range;
+    /// on error nothing changes.
+    pub fn delete_rows(&mut self, ids: &[u32]) -> Result<()> {
+        self.check_ids(ids)?;
+        if ids.is_empty() {
+            return Ok(());
+        }
+        let mut keep = vec![true; self.len()];
+        for &id in ids {
+            keep[id as usize] = false;
+        }
+        let body = self.body_mut();
+        body.batch.retain(&keep);
+        let mut flags = keep.iter();
+        body.wsds.retain(|_| *flags.next().expect("one flag per row"));
+        Ok(())
     }
 
     /// Materialise a selection vector: the U-relation holding the tuples
@@ -375,6 +451,13 @@ mod tests {
     use crate::var::Var;
     use maybms_engine::{rel, DataType, Value};
 
+    /// `base()` with the given WSDs, one per row.
+    fn conditioned(wsds: [Wsd; 2]) -> URelation {
+        let rows = URelation::from_certain(&base()).tuples().to_vec();
+        let rows = rows.into_iter().zip(wsds).map(|(t, w)| UTuple::new(t.data, w)).collect();
+        URelation::new(base().schema().clone(), rows)
+    }
+
     fn base() -> Relation {
         rel(
             &[("player", DataType::Text), ("state", DataType::Text)],
@@ -394,8 +477,7 @@ mod tests {
 
     #[test]
     fn conditioned_relation_is_not_t_certain() {
-        let mut u = URelation::from_certain(&base());
-        u.tuples_mut()[0].wsd = Wsd::of(Var(0), 0);
+        let u = conditioned([Wsd::of(Var(0), 0), Wsd::tautology()]);
         assert!(!u.is_t_certain());
     }
 
@@ -403,9 +485,7 @@ mod tests {
     fn instantiate_filters_by_world() {
         let mut wt = WorldTable::new();
         let x = wt.new_var(&[0.5, 0.5]).unwrap();
-        let mut u = URelation::from_certain(&base());
-        u.tuples_mut()[0].wsd = Wsd::of(x, 0);
-        u.tuples_mut()[1].wsd = Wsd::of(x, 1);
+        let u = conditioned([Wsd::of(x, 0), Wsd::of(x, 1)]);
         let w0 = u.instantiate(&[0]);
         assert_eq!(w0.len(), 1);
         assert_eq!(w0.tuples()[0].value(1), &Value::str("F"));
@@ -424,8 +504,7 @@ mod tests {
     fn compact_preserves_data_wsds_and_equality() {
         let mut wt = WorldTable::new();
         let x = wt.new_var(&[0.5, 0.5]).unwrap();
-        let mut u = URelation::from_certain(&base());
-        u.tuples_mut()[0].wsd = Wsd::of(x, 0);
+        let u = conditioned([Wsd::of(x, 0), Wsd::tautology()]);
         let c = u.compact();
         assert!(c.is_columnar() && !u.is_columnar());
         assert_eq!(c.len(), 2);
@@ -440,15 +519,48 @@ mod tests {
     }
 
     #[test]
-    fn columnar_mutation_decays_and_gather_stays_columnar_when_cold() {
+    fn gather_stays_columnar_when_cold() {
         let u = URelation::from_certain(&base()).compact();
         let g = u.gather(&[1, 0]);
         assert!(g.is_columnar());
         assert_eq!(g.tuples()[0], u.tuples()[1]);
+    }
+
+    #[test]
+    fn row_id_edits_stay_columnar_and_copy_on_write() {
+        let mut wt = WorldTable::new();
+        let x = wt.new_var(&[0.5, 0.5]).unwrap();
+        let u = conditioned([Wsd::of(x, 0), Wsd::of(x, 1)]).compact();
+        let _ = u.tuples(); // warm the row view: edits must drop it
         let mut m = u.clone();
-        m.tuples_mut().pop();
-        assert!(!m.is_columnar());
-        assert_eq!(m.len(), 1);
+        let inserted = UTuple::certain(Tuple::new(vec!["Duncan".into(), "SE".into()]));
+        let updated = UTuple::new(Tuple::new(vec!["Bryant".into(), "X".into()]), Wsd::of(x, 0));
+        m.append_rows(vec![inserted.clone()]).unwrap();
+        m.update_rows(&[0], vec![updated.clone()]).unwrap();
+        m.delete_rows(&[1]).unwrap();
+        assert!(m.is_columnar());
+        let want = vec![updated, inserted];
+        assert_eq!(m.tuples(), want.as_slice());
+        // The shared original is untouched (copy-on-write).
+        assert_eq!(u, conditioned([Wsd::of(x, 0), Wsd::of(x, 1)]));
+    }
+
+    #[test]
+    fn row_id_edits_reject_bad_input_without_changing_anything() {
+        let mut u = URelation::from_certain(&base()).compact();
+        let before = u.clone();
+        assert_eq!(u.delete_rows(&[0, 2]), Err(UrelError::RowIdOutOfRange { id: 2, rows: 2 }));
+        let row = UTuple::certain(Tuple::new(vec!["a".into(), "b".into()]));
+        assert!(u.update_rows(&[5], vec![row.clone()]).is_err());
+        assert!(u.update_rows(&[0, 1], vec![row]).is_err());
+        let short = UTuple::certain(Tuple::new(vec!["a".into()]));
+        assert!(u.append_rows(vec![short]).is_err());
+        assert_eq!(u, before);
+        // An empty row store becomes columnar on its first append.
+        let mut e = URelation::empty(base().schema().clone());
+        e.append_rows(URelation::from_certain(&base()).tuples().to_vec()).unwrap();
+        assert!(e.is_columnar());
+        assert_eq!(e, before);
     }
 
     #[test]
@@ -466,8 +578,7 @@ mod tests {
     fn table_string_shows_condition_and_probability() {
         let mut wt = WorldTable::new();
         let x = wt.new_var(&[0.8, 0.2]).unwrap();
-        let mut u = URelation::from_certain(&base());
-        u.tuples_mut()[0].wsd = Wsd::of(x, 0);
+        let u = conditioned([Wsd::of(x, 0), Wsd::tautology()]);
         let s = u.to_table_string(&wt).unwrap();
         assert!(s.contains("condition"));
         assert!(s.contains("x0 ↦ 1"));

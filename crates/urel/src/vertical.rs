@@ -179,16 +179,20 @@ mod tests {
         let t0_team = pieces[1].tuples()[0].clone();
         let mut alt = t0_team.clone();
         alt.data = Tuple::new(vec![Value::Int(0), "MIA".into()]);
-        pieces[1].tuples_mut()[0].wsd = Wsd::of(x, 0);
+        let mut team_rows = pieces[1].tuples().to_vec();
+        team_rows[0].wsd = Wsd::of(x, 0);
         let mut alt_tuple = alt;
         alt_tuple.wsd = Wsd::of(x, 1);
-        pieces[1].tuples_mut().push(alt_tuple);
+        team_rows.push(alt_tuple);
+        pieces[1] = URelation::new(pieces[1].schema().clone(), team_rows);
         // Two alternative pts for tuple 0.
-        pieces[2].tuples_mut()[0].wsd = Wsd::of(y, 0);
-        let mut pts_alt = pieces[2].tuples()[0].clone();
+        let mut pts_rows = pieces[2].tuples().to_vec();
+        pts_rows[0].wsd = Wsd::of(y, 0);
+        let mut pts_alt = pts_rows[0].clone();
         pts_alt.data = Tuple::new(vec![Value::Int(0), Value::Int(50)]);
         pts_alt.wsd = Wsd::of(y, 1);
-        pieces[2].tuples_mut().push(pts_alt);
+        pts_rows.push(pts_alt);
+        pieces[2] = URelation::new(pieces[2].schema().clone(), pts_rows);
 
         let back = recompose(&pieces).unwrap();
         // Tuple 0 now has 4 variants (2 teams × 2 pts), tuple 1 has 1.

@@ -29,19 +29,21 @@ fn build() -> (WorldTable, URelation) {
 
     let mut pieces = decompose(&base, &[vec![0], vec![1], vec![2]]).unwrap();
     // Smith's city: Oxford (0.7) vs Cambridge (0.3).
-    pieces[1].tuples_mut()[0].wsd = Wsd::of(city_var, 0);
-    let alt_city = UTuple::new(
+    let mut cities = pieces[1].tuples().to_vec();
+    cities[0].wsd = Wsd::of(city_var, 0);
+    cities.push(UTuple::new(
         Tuple::new(vec![Value::Int(0), "Cambridge".into()]),
         Wsd::of(city_var, 1),
-    );
-    pieces[1].tuples_mut().push(alt_city);
+    ));
+    pieces[1] = URelation::new(pieces[1].schema().clone(), cities);
     // Smith's age: 35 (0.6) vs 36 (0.4).
-    pieces[2].tuples_mut()[0].wsd = Wsd::of(age_var, 0);
-    let alt_age = UTuple::new(
+    let mut ages = pieces[2].tuples().to_vec();
+    ages[0].wsd = Wsd::of(age_var, 0);
+    ages.push(UTuple::new(
         Tuple::new(vec![Value::Int(0), Value::Int(36)]),
         Wsd::of(age_var, 1),
-    );
-    pieces[2].tuples_mut().push(alt_age);
+    ));
+    pieces[2] = URelation::new(pieces[2].schema().clone(), ages);
 
     (wt, recompose(&pieces).unwrap())
 }

@@ -242,6 +242,51 @@ fn degraded_aconf_estimate_is_deterministic_across_thread_counts() {
     maybms_par::set_threads(before_threads);
 }
 
+/// A real (not injected) statement deadline on a 100k-row durable table:
+/// UPDATE and DELETE must notice it at a per-morsel checkpoint of their
+/// row scan, abort with the typed deadline error, and leave both the
+/// catalog and the WAL exactly as they were.
+#[test]
+fn expired_deadline_aborts_large_update_and_delete_before_logging() {
+    let _l = lock();
+    let before_timeout = maybms_gov::statement_timeout_ms();
+    let mem = MemVfs::new();
+    let mut db = MayBms::open_with_vfs(Arc::new(mem.clone())).unwrap();
+    use maybms_engine::{rel, DataType, Value};
+    let rows: Vec<Vec<Value>> = (0..100_000i64)
+        .map(|i| vec![i.into(), Value::Float(i as f64), format!("t{}", i % 8).into()])
+        .collect();
+    let schema = [("id", DataType::Int), ("v", DataType::Float), ("tag", DataType::Text)];
+    db.register("big", rel(&schema, rows)).unwrap();
+    let baseline = fp(&db);
+    let wal_before = db.durability_status().unwrap().wal_bytes;
+    // Each statement's scan runs far longer than 1 ms: the UPDATE
+    // evaluates SET on every row, the DELETE's CASE predicate takes the
+    // scalar path over every row.
+    let statements = [
+        "update big set v = v * 2.0, tag = 'x' where v >= 0.0",
+        "delete from big where case when v >= 0.0 then true else false end",
+    ];
+    maybms_gov::set_statement_timeout_ms(Some(1));
+    let results: Vec<_> = statements.iter().map(|sql| db.run(sql)).collect();
+    maybms_gov::set_statement_timeout_ms(before_timeout);
+    for (sql, result) in statements.iter().zip(results) {
+        let err = result.expect_err("a 1 ms deadline must cut a 100k-row scan");
+        assert!(
+            matches!(err.gov_abort(), Some(GovError::DeadlineExceeded { .. })),
+            "{sql}: wrong error: {err}"
+        );
+    }
+    assert_eq!(fp(&db), baseline, "an aborted statement mutated the catalog");
+    assert_eq!(db.durability_status().unwrap().wal_bytes, wal_before, "abort reached the WAL");
+    let recovered = MayBms::open_with_vfs(Arc::new(mem.clone())).unwrap();
+    assert_eq!(fp(&recovered), baseline);
+    // Without the deadline both statements run to completion.
+    db.run(statements[0]).unwrap();
+    db.run(statements[1]).unwrap();
+    assert!(db.table("big").unwrap().is_empty());
+}
+
 // ---------------------------------------------------------------------
 // Transient-storage-fault contract.
 // ---------------------------------------------------------------------
