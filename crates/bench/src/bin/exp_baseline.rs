@@ -57,7 +57,7 @@ use maybms_conf::exact::{self, ExactOptions};
 use maybms_conf::karp_luby::KarpLuby;
 use maybms_core::agg as coreagg;
 use maybms_core::translate::AggSpec;
-use maybms_engine::{ops, BinaryOp, Catalog, DataType, Expr, Field, PhysicalPlan};
+use maybms_engine::{ops, BinaryOp, DataType, Expr, Field};
 use maybms_pipe::UStream;
 use maybms_urel::pick::PickTuplesOptions;
 use maybms_urel::repair::RepairKeyOptions;
@@ -202,6 +202,24 @@ where
         assert_eq!(rows_out, p_rows, "materialized and pipelined disagree on cardinality");
     }
     (lat(n_samples), lat(o_samples), lat(p_samples), rows_out)
+}
+
+/// Bind `exprs` against `schema` (the streaming breaker evaluates its
+/// keys and aggregate arguments positionally).
+fn bind_all(exprs: &[Expr], schema: &maybms_engine::Schema) -> Vec<Expr> {
+    exprs.iter().map(|e| e.bind(schema).expect("workload expression binds")).collect()
+}
+
+/// Standard SQL aggregate calls as streaming-breaker specs, arguments
+/// bound against `schema`.
+fn std_specs(calls: &[ops::AggCall], schema: &maybms_engine::Schema) -> Vec<(AggSpec, String)> {
+    calls
+        .iter()
+        .map(|c| {
+            let arg = c.arg.as_ref().map(|e| e.bind(schema).expect("workload argument binds"));
+            (AggSpec::Std { func: c.func, arg }, c.name.clone())
+        })
+        .collect()
 }
 
 fn main() {
@@ -410,23 +428,33 @@ fn main() {
         ops::AggCall::new(ops::AggFunc::Sum, Some(Expr::col("v")), "sv"),
         ops::AggCall::new(ops::AggFunc::Max, Some(Expr::col("v")), "hi"),
     ];
-    let mut dict_catalog = Catalog::new();
-    dict_catalog.create("strs", strings.clone()).expect("fresh catalog");
-    // Force the at-rest representation regardless of the env gate, so
-    // the measured leg is always the dictionary-code path.
-    *dict_catalog.get_mut("strs").expect("just created") = strings.compact();
-    let dict_plan = PhysicalPlan::Aggregate {
-        input: Box::new(PhysicalPlan::Scan { table: "strs".into(), alias: None }),
-        group_exprs: dict_keys.to_vec(),
-        group_names: dict_names.to_vec(),
-        aggs: dict_aggs.to_vec(),
-    };
+    // The measured leg reads the columnar-at-rest table, so it always
+    // takes the dictionary-code path.
+    let u_strings = URelation::from_certain(&strings.compact());
+    let dict_stream_keys = bind_all(&dict_keys, strings.schema());
+    let dict_key_fields = vec![Field::new("s", DataType::Text)];
+    let dict_specs = std_specs(&dict_aggs, strings.schema());
+    let no_worlds = WorldTable::new();
+    let std_ctx = maybms_core::ConfContext::default();
     mark = metric_mark();
     let (n, o, p, out) = compare3(
         reps,
         || naive::aggregate(&strings, &dict_keys, &dict_names, &dict_aggs).unwrap().len(),
         || ops::aggregate(&strings, &dict_keys, &dict_names, &dict_aggs).unwrap().len(),
-        || maybms_pipe::execute(&dict_plan, &dict_catalog).unwrap().len(),
+        || {
+            coreagg::aggregate_stream(
+                UStream::new(u_strings.clone()),
+                &dict_stream_keys,
+                1,
+                dict_key_fields.clone(),
+                &dict_specs,
+                &no_worlds,
+                &std_ctx,
+                None,
+            )
+            .unwrap()
+            .len()
+        },
     );
     outcomes.push(Outcome {
         name: "group_by_string_dict",
@@ -612,8 +640,10 @@ fn main() {
     // A σ→π→σ→π chain: the materialising path builds three intermediate
     // relations; the pipelined path fuses all four stages into one
     // morsel-driven pass.
-    let mut chain_catalog = Catalog::new();
-    chain_catalog.create("wide", certain.clone()).expect("fresh catalog");
+    // Both optimized legs read the columnar-at-rest copy a catalog
+    // table is stored as.
+    let wide = certain.compact();
+    let u_wide = URelation::from_certain(&wide);
     let pred1 = Expr::col("v").binary(BinaryOp::Lt, Expr::lit(500i64));
     let proj1 = [
         ops::ProjectItem::col("k"),
@@ -630,18 +660,16 @@ fn main() {
         ),
         ops::ProjectItem::col("k"),
     ];
-    let chain_plan = PhysicalPlan::Project {
-        input: Box::new(PhysicalPlan::Filter {
-            input: Box::new(PhysicalPlan::Project {
-                input: Box::new(PhysicalPlan::Filter {
-                    input: Box::new(PhysicalPlan::Scan { table: "wide".into(), alias: None }),
-                    predicate: pred1.clone(),
-                }),
-                items: proj1.to_vec(),
-            }),
-            predicate: pred2.clone(),
-        }),
-        items: proj2.to_vec(),
+    let chain_stream = |u: &URelation| {
+        UStream::new(u.clone())
+            .filter(&pred1)
+            .unwrap()
+            .project(&proj1)
+            .unwrap()
+            .filter(&pred2)
+            .unwrap()
+            .project(&proj2)
+            .unwrap()
     };
     let (n, o, p, out) = compare3(
         reps,
@@ -651,8 +679,13 @@ fn main() {
             let c = naive::filter(&b, &pred2).unwrap();
             naive::project(&c, &proj2).unwrap().len()
         },
-        || chain_plan.execute(&chain_catalog).unwrap().len(),
-        || maybms_pipe::execute(&chain_plan, &chain_catalog).unwrap().len(),
+        || {
+            let a = ops::filter(&wide, &pred1).unwrap();
+            let b = ops::project(&a, &proj1).unwrap();
+            let c = ops::filter(&b, &pred2).unwrap();
+            ops::project(&c, &proj2).unwrap().len()
+        },
+        || chain_stream(&u_wide).collect().unwrap().len(),
     );
     outcomes.push(Outcome {
         name: "filter_project_chain",
@@ -667,26 +700,13 @@ fn main() {
     // A selective σ → hash-probe → π pipeline: the filtered probe stream
     // flows straight into the join probe and output projection without
     // materialising the filtered input or the raw join output.
-    let mut join_catalog = Catalog::new();
-    join_catalog.create("big", big.clone()).expect("fresh catalog");
-    join_catalog.create("small", small.clone()).expect("fresh catalog");
+    let (big_c, small_c) = (big.compact(), small.compact());
+    let (u_big, u_small) = (URelation::from_certain(&big_c), URelation::from_certain(&small_c));
     let join_pred = Expr::col("v").binary(BinaryOp::Lt, Expr::lit(500i64));
     let join_proj = [
         ops::ProjectItem::new(Expr::ColumnIdx(0), "k"),
         ops::ProjectItem::new(Expr::ColumnIdx(4), "v2"),
     ];
-    let join_plan = PhysicalPlan::Project {
-        input: Box::new(PhysicalPlan::HashJoin {
-            left: Box::new(PhysicalPlan::Filter {
-                input: Box::new(PhysicalPlan::Scan { table: "big".into(), alias: None }),
-                predicate: join_pred.clone(),
-            }),
-            right: Box::new(PhysicalPlan::Scan { table: "small".into(), alias: None }),
-            left_keys: vec![0],
-            right_keys: vec![0],
-        }),
-        items: join_proj.to_vec(),
-    };
     let (n, o, p, out) = compare3(
         reps,
         || {
@@ -694,8 +714,23 @@ fn main() {
             let j = naive::hash_join(&f, &small, &[0], &[0]).unwrap();
             naive::project(&j, &join_proj).unwrap().len()
         },
-        || join_plan.execute(&join_catalog).unwrap().len(),
-        || maybms_pipe::execute(&join_plan, &join_catalog).unwrap().len(),
+        || {
+            let f = ops::filter(&big_c, &join_pred).unwrap();
+            let j = ops::hash_join(&f, &small_c, &[0], &[0]).unwrap();
+            ops::project(&j, &join_proj).unwrap().len()
+        },
+        || {
+            UStream::new(u_big.clone())
+                .filter(&join_pred)
+                .unwrap()
+                .hash_join(u_small.clone(), &[0], &[0])
+                .unwrap()
+                .project(&join_proj)
+                .unwrap()
+                .collect()
+                .unwrap()
+                .len()
+        },
     );
     outcomes.push(Outcome {
         name: "join_pipelined",
@@ -730,20 +765,12 @@ fn main() {
         ops::AggCall::new(ops::AggFunc::Sum, Some(Expr::col("t")), "s"),
         ops::AggCall::new(ops::AggFunc::Avg, Some(Expr::col("t")), "m"),
     ];
-    let mut group_catalog = Catalog::new();
-    group_catalog.create("wide", certain.clone()).expect("fresh catalog");
-    let group_plan = PhysicalPlan::Aggregate {
-        input: Box::new(PhysicalPlan::Project {
-            input: Box::new(PhysicalPlan::Filter {
-                input: Box::new(PhysicalPlan::Scan { table: "wide".into(), alias: None }),
-                predicate: group_pred.clone(),
-            }),
-            items: group_proj.to_vec(),
-        }),
-        group_exprs: group_keys.to_vec(),
-        group_names: group_names.to_vec(),
-        aggs: group_aggs.to_vec(),
-    };
+    // The streaming leg binds keys and aggregate arguments against the
+    // projected (k, t) schema, as the SQL planner does.
+    let group_schema = UStream::new(u_wide.clone()).project(&group_proj).unwrap().schema().clone();
+    let group_stream_keys = bind_all(&group_keys, &group_schema);
+    let group_key_fields = vec![Field::new("k", DataType::Int)];
+    let group_specs = std_specs(&group_aggs, &group_schema);
     let (n, o, p, out) = compare3(
         reps,
         || {
@@ -751,8 +778,30 @@ fn main() {
             let pr = naive::project(&f, &group_proj).unwrap();
             naive::aggregate(&pr, &group_keys, &group_names, &group_aggs).unwrap().len()
         },
-        || group_plan.execute(&group_catalog).unwrap().len(),
-        || maybms_pipe::execute(&group_plan, &group_catalog).unwrap().len(),
+        || {
+            let f = ops::filter(&wide, &group_pred).unwrap();
+            let pr = ops::project(&f, &group_proj).unwrap();
+            ops::aggregate(&pr, &group_keys, &group_names, &group_aggs).unwrap().len()
+        },
+        || {
+            let stream = UStream::new(u_wide.clone())
+                .filter(&group_pred)
+                .unwrap()
+                .project(&group_proj)
+                .unwrap();
+            coreagg::aggregate_stream(
+                stream,
+                &group_stream_keys,
+                1,
+                group_key_fields.clone(),
+                &group_specs,
+                &no_worlds,
+                &std_ctx,
+                None,
+            )
+            .unwrap()
+            .len()
+        },
     );
     outcomes.push(Outcome {
         name: "group_by_certain",
@@ -885,20 +934,17 @@ fn main() {
         ),
         ops::ProjectItem::col("a"),
     ];
-    let mut expr_catalog = Catalog::new();
-    expr_catalog.create("e", expr_rel.clone()).expect("fresh catalog");
-    let expr_plan = PhysicalPlan::Project {
-        input: Box::new(PhysicalPlan::Filter {
-            input: Box::new(PhysicalPlan::Project {
-                input: Box::new(PhysicalPlan::Filter {
-                    input: Box::new(PhysicalPlan::Scan { table: "e".into(), alias: None }),
-                    predicate: epred1.clone(),
-                }),
-                items: eproj1.to_vec(),
-            }),
-            predicate: epred2.clone(),
-        }),
-        items: eproj2.to_vec(),
+    let u_expr = URelation::from_certain(&expr_rel.compact());
+    let expr_stream = || {
+        UStream::new(u_expr.clone())
+            .filter(&epred1)
+            .unwrap()
+            .project(&eproj1)
+            .unwrap()
+            .filter(&epred2)
+            .unwrap()
+            .project(&eproj2)
+            .unwrap()
     };
     let expr_pool = maybms_par::pool();
     let (n, o, p, out) = compare3(
@@ -909,28 +955,8 @@ fn main() {
             let c = naive::filter(&b, &epred2).unwrap();
             naive::project(&c, &eproj2).unwrap().len()
         },
-        || {
-            maybms_pipe::execute_opts(
-                &expr_plan,
-                &expr_catalog,
-                &expr_pool,
-                ops::PAR_MIN_CHUNK,
-                false,
-            )
-            .unwrap()
-            .len()
-        },
-        || {
-            maybms_pipe::execute_opts(
-                &expr_plan,
-                &expr_catalog,
-                &expr_pool,
-                ops::PAR_MIN_CHUNK,
-                true,
-            )
-            .unwrap()
-            .len()
-        },
+        || expr_stream().collect_opts(&expr_pool, ops::PAR_MIN_CHUNK, false).unwrap().len(),
+        || expr_stream().collect_opts(&expr_pool, ops::PAR_MIN_CHUNK, true).unwrap().len(),
     );
     outcomes.push(Outcome {
         name: "expr_heavy_columnar",
@@ -1025,17 +1051,6 @@ fn main() {
     if let Some(pct) = assert_overhead {
         let pool = maybms_par::pool();
         let u_chain = URelation::from_certain(&certain);
-        let chain_stream = |u: &URelation| {
-            UStream::new(u.clone())
-                .filter(&pred1)
-                .unwrap()
-                .project(&proj1)
-                .unwrap()
-                .filter(&pred2)
-                .unwrap()
-                .project(&proj2)
-                .unwrap()
-        };
         let o_reps = reps.max(7);
         let mut bare = Vec::with_capacity(o_reps);
         let mut inst = Vec::with_capacity(o_reps);
@@ -1043,9 +1058,7 @@ fn main() {
             let s = chain_stream(&u_chain);
             let t0 = Instant::now();
             let n_bare = std::hint::black_box(
-                s.collect_stats(&pool, ops::PAR_MIN_CHUNK, maybms_pipe::columnar_default(), None)
-                    .unwrap()
-                    .len(),
+                s.collect_stats(&pool, ops::PAR_MIN_CHUNK, None).unwrap().len(),
             );
             bare.push(t0.elapsed().as_secs_f64() * 1e3);
 
@@ -1053,14 +1066,7 @@ fn main() {
             let ps = s.stats_skeleton("overhead probe");
             let t0 = Instant::now();
             let n_inst = std::hint::black_box(
-                s.collect_stats(
-                    &pool,
-                    ops::PAR_MIN_CHUNK,
-                    maybms_pipe::columnar_default(),
-                    Some(&ps),
-                )
-                .unwrap()
-                .len(),
+                s.collect_stats(&pool, ops::PAR_MIN_CHUNK, Some(&ps)).unwrap().len(),
             );
             inst.push(t0.elapsed().as_secs_f64() * 1e3);
             assert_eq!(n_bare, n_inst, "instrumentation changed the result cardinality");
@@ -1114,9 +1120,9 @@ fn main() {
          (conf_dtree_par4 and karp_luby_par4 baselines are the *sequential \
          optimized* algorithms, isolating the scheduler; with cores=1 the par \
          columns bound threading overhead, not multicore scaling); workloads \
-         with pipelined_ms additionally run the maybms-pipe morsel-driven \
-         streaming executor over the same plan, columnar path at its \
-         default, on (pipelined_speedup = \
+         with pipelined_ms additionally run the same chain through \
+         maybms-pipe UStream pipelines, the executor the SQL path uses, \
+         columnar path on (pipelined_speedup = \
          optimized_ms / pipelined_ms, the fusion win over full \
          materialisation); group_by_* are three-way grouped-aggregation \
          workloads: seed two-pass grouping vs single-pass AggState fold \

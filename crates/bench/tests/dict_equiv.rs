@@ -2,12 +2,13 @@
 //!
 //! The columnar store dictionary-encodes text columns, and two executor
 //! fast paths consume the u32 codes directly: the hash-join build side
-//! (`fuse::build_table`) and the dense-code grouped-aggregation sink
-//! (`groupby::dense_dict_groups`). Both must be *invisible*: joining or
-//! grouping on a dictionary-encoded columnar table has to produce output
-//! bit-identical to the row-major string path — same tuples, same order,
-//! same group key variants — at 1/2/8 threads and morsel sizes down to a
-//! single row.
+//! (`fuse::build_table`, reached through `UStream::hash_join`) and the
+//! dense-code grouped-aggregation sink (`groupby::dense_dict_groups`,
+//! reached through `core::agg::aggregate_stream`). Both must be
+//! *invisible*: joining or grouping on a dictionary-encoded columnar
+//! table has to produce output bit-identical to the row-major string
+//! path — same tuples, same order, same group key variants — at 1/2/8
+//! threads and morsel sizes down to a single row.
 //!
 //! The string universe is tiny (heavy duplication, so many rows share a
 //! code and hash buckets collide across distinct keys), and NULL keys are
@@ -16,11 +17,14 @@
 
 use std::sync::Arc;
 
-use maybms_engine::ops::{AggCall, AggFunc};
-use maybms_engine::{
-    Catalog, DataType, Expr, PhysicalPlan, Relation, Schema, Tuple, Value,
-};
+use maybms_bench::naive;
+use maybms_core::agg::{aggregate_stream_with, ConfContext};
+use maybms_core::translate::AggSpec;
+use maybms_engine::ops::{self, AggCall, AggFunc};
+use maybms_engine::{DataType, Expr, Field, Relation, Schema, Tuple, Value};
 use maybms_par::ThreadPool;
+use maybms_pipe::UStream;
+use maybms_urel::{URelation, WorldTable};
 use proptest::prelude::*;
 
 fn arb_key() -> impl Strategy<Value = Value> {
@@ -38,99 +42,114 @@ fn arb_payload() -> impl Strategy<Value = Value> {
     ]
 }
 
-fn table(name: &str, rows: Vec<(Value, Value)>) -> (String, Relation) {
+fn table(name: &str, rows: Vec<(Value, Value)>) -> Relation {
     let schema = Arc::new(Schema::from_pairs(&[
         (&format!("{name}_k"), DataType::Text),
         (&format!("{name}_v"), DataType::Unknown),
     ]));
     let tuples = rows.into_iter().map(|(k, v)| Tuple::new(vec![k, v])).collect();
-    (name.to_string(), Relation::new_unchecked(schema, tuples))
+    Relation::new_unchecked(schema, tuples)
 }
 
-/// Two catalogs over the same logical data: every table row-major in
-/// one (overriding the catalog's columnar install), columnar-at-rest
-/// (text keys dictionary-encoded) in the other.
-fn catalogs(tables: Vec<(String, Relation)>) -> (Catalog, Catalog) {
-    let mut rows = Catalog::new();
-    let mut cols = Catalog::new();
-    for (name, r) in tables {
-        rows.create(&name, r.clone()).unwrap();
-        *rows.get_mut(&name).unwrap() = r.clone();
-        cols.create(&name, r.clone()).unwrap();
-        let compacted = r.compact();
-        assert!(compacted.is_columnar());
-        *cols.get_mut(&name).unwrap() = compacted;
-    }
-    (rows, cols)
+/// The same logical table lifted twice: row-major, and columnar-at-rest
+/// with its text keys dictionary-encoded.
+fn lifted(r: &Relation) -> [URelation; 2] {
+    let cols = URelation::from_certain(&r.compact());
+    assert!(cols.is_columnar());
+    [URelation::from_certain(r), cols]
+}
+
+fn sorted(r: &Relation) -> Vec<Tuple> {
+    let mut t = r.tuples().to_vec();
+    t.sort();
+    t
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Hash join keyed on a text column: the dictionary-code build side
-    /// over the columnar catalog ≡ the string build side over the
-    /// row-major catalog, bit-identically, at every thread count.
+    /// over a columnar build table ≡ the string build side over a
+    /// row-major one ≡ the materialising `ops::hash_join`, bit-identically,
+    /// at every thread count — and ≡ the naive join as a bag.
     #[test]
     fn dict_join_build_matches_string_path(
         build in prop::collection::vec((arb_key(), arb_payload()), 0..24),
         probe in prop::collection::vec((arb_key(), arb_payload()), 0..24),
     ) {
-        let (rows, cols) =
-            catalogs(vec![table("b", build), table("p", probe)]);
-        let plan = PhysicalPlan::HashJoin {
-            left: Box::new(PhysicalPlan::Scan { table: "p".into(), alias: None }),
-            right: Box::new(PhysicalPlan::Scan { table: "b".into(), alias: None }),
-            left_keys: vec![0],
-            right_keys: vec![0],
-        };
-        let want = plan.execute(&rows).unwrap();
+        let (b, p) = (table("b", build), table("p", probe));
+        let want = ops::hash_join(&p, &b, &[0], &[0]).unwrap();
+        prop_assert_eq!(
+            sorted(&naive::hash_join(&p, &b, &[0], &[0]).unwrap()),
+            sorted(&want)
+        );
         // NULL never equals NULL: no output row may carry a NULL key.
         for t in want.tuples() {
             prop_assert!(t.value(0) != &Value::Null);
         }
+        let (probes, builds) = (lifted(&p), lifted(&b));
         for threads in [1usize, 2, 8] {
             let pool = ThreadPool::new(threads);
             for morsel in [1usize, 4] {
-                for catalog in [&rows, &cols] {
-                    let got =
-                        maybms_pipe::execute_with(&plan, catalog, &pool, morsel).unwrap();
+                for (probe, build) in probes.iter().zip(&builds) {
+                    let got = UStream::new(probe.clone())
+                        .hash_join(build.clone(), &[0], &[0])
+                        .unwrap()
+                        .collect_with(&pool, morsel)
+                        .unwrap()
+                        .into_certain();
                     prop_assert_eq!(
                         got.tuples(), want.tuples(),
-                        "threads {} morsel {}", threads, morsel
+                        "threads {} morsel {} columnar {}",
+                        threads, morsel, build.is_columnar()
                     );
                 }
             }
         }
     }
 
-    /// GROUP BY a text key: the dense-code sink over the columnar
-    /// catalog ≡ the hashed sink over the row-major catalog ≡ the
-    /// materialising aggregate, bit-identically, at every thread count.
+    /// GROUP BY a text key with standard aggregates: the dense-code
+    /// sink over a columnar table ≡ the hashed sink over a row-major
+    /// one ≡ the naive two-pass aggregate, bit-identically, at every
+    /// thread count.
     #[test]
     fn dense_dict_group_matches_hashed_group(
         data in prop::collection::vec((arb_key(), arb_payload()), 0..32),
     ) {
-        let (rows, cols) = catalogs(vec![table("t", data)]);
-        let plan = PhysicalPlan::Aggregate {
-            input: Box::new(PhysicalPlan::Scan { table: "t".into(), alias: None }),
-            group_exprs: vec![Expr::ColumnIdx(0)],
-            group_names: vec!["g".into()],
-            aggs: vec![
-                AggCall::new(AggFunc::Count, None, "n"),
-                AggCall::new(AggFunc::Sum, Some(Expr::ColumnIdx(1)), "s"),
-                AggCall::new(AggFunc::Min, Some(Expr::ColumnIdx(1)), "lo"),
-            ],
-        };
-        let want = plan.execute(&rows).unwrap();
+        let t = table("t", data);
+        let key = [Expr::ColumnIdx(0)];
+        let calls = [
+            AggCall::new(AggFunc::Count, None, "n"),
+            AggCall::new(AggFunc::Sum, Some(Expr::ColumnIdx(1)), "s"),
+            AggCall::new(AggFunc::Min, Some(Expr::ColumnIdx(1)), "lo"),
+        ];
+        let want = naive::aggregate(&t, &key, &["g".to_string()], &calls).unwrap();
+        let specs: Vec<(AggSpec, String)> = calls
+            .iter()
+            .map(|c| (AggSpec::Std { func: c.func, arg: c.arg.clone() }, c.name.clone()))
+            .collect();
+        let (wt, ctx) = (WorldTable::new(), ConfContext::default());
         for threads in [1usize, 2, 8] {
             let pool = ThreadPool::new(threads);
             for morsel in [1usize, 4] {
-                for catalog in [&rows, &cols] {
-                    let got =
-                        maybms_pipe::execute_with(&plan, catalog, &pool, morsel).unwrap();
+                for source in lifted(&t) {
+                    let columnar = source.is_columnar();
+                    let got = aggregate_stream_with(
+                        UStream::new(source),
+                        &key,
+                        1,
+                        vec![Field::new("g", DataType::Text)],
+                        &specs,
+                        &wt,
+                        &ctx,
+                        None,
+                        &pool,
+                        morsel,
+                    )
+                    .unwrap();
                     prop_assert_eq!(
                         got.tuples(), want.tuples(),
-                        "threads {} morsel {}", threads, morsel
+                        "threads {} morsel {} columnar {}", threads, morsel, columnar
                     );
                 }
             }

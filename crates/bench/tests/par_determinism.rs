@@ -251,7 +251,7 @@ proptest! {
             let stream = build_stream();
             let ps = stream.stats_skeleton("par determinism");
             let got = stream
-                .collect_stats(&pool, 1, maybms_pipe::columnar_default(), Some(&ps))
+                .collect_stats(&pool, 1, Some(&ps))
                 .unwrap();
             prop_assert_eq!(got.tuples(), reference.tuples(), "threads = {}", threads);
             prints.push(fingerprint(&ps));

@@ -3,25 +3,25 @@
 //! to the bottom-up materialising executors, at any thread count and any
 //! morsel size.
 //!
-//! Random plans are generated as token programs folded into well-typed
-//! trees (arity tracked through projections and joins, comparisons and
-//! arithmetic restricted to numeric columns), over data with NULL join
-//! keys, cross-type numeric duplicates (`1 == 1.0`), and — on the
-//! U-relational side — conflicting WSDs whose join conjunctions are
-//! unsatisfiable and must be dropped. Each case runs on explicit 1-, 2-,
-//! and 8-thread pools with morsel sizes down to a single row (the
-//! worst case for any order bug); CI additionally runs the whole suite
-//! under `MAYBMS_THREADS=1` and `=4`, covering the process-wide pool
-//! dispatch.
+//! Random σ/π/⋈ chains are generated as token programs (arity tracked
+//! through projections and joins, comparisons and arithmetic restricted
+//! to numeric columns), over data with NULL join keys, cross-type
+//! numeric duplicates (`1 == 1.0`), and — on the U-relational side —
+//! conflicting WSDs whose join conjunctions are unsatisfiable and must
+//! be dropped. Certain chains run through the same `UStream` front end
+//! as U-relational ones (tautological WSDs). Each case runs on explicit
+//! 1-, 2-, and 8-thread pools with morsel sizes down to a single row
+//! (the worst case for any order bug); CI additionally runs the whole
+//! suite under `MAYBMS_THREADS=1` and `=4`, covering the process-wide
+//! pool dispatch.
 
 use std::sync::Arc;
 
 use maybms_core::agg as uagg;
 use maybms_core::translate::AggSpec;
-use maybms_engine::ops::{AggCall, AggFunc, ProjectItem, SortKey};
-use maybms_engine::{
-    optimizer, Catalog, DataType, Expr, Field, PhysicalPlan, Relation, Schema, Tuple, Value,
-};
+use maybms_bench::naive;
+use maybms_engine::ops::{self, AggCall, AggFunc, ProjectItem};
+use maybms_engine::{DataType, Expr, Field, Relation, Schema, Tuple, Value};
 use maybms_par::ThreadPool;
 use maybms_pipe::UStream;
 use maybms_urel::{algebra, Assignment, URelation, UTuple, Var, WorldTable, Wsd};
@@ -62,7 +62,7 @@ fn query_fingerprint(
 }
 
 // ---------------------------------------------------------------------
-// Certain path: random PhysicalPlans vs pipe::execute
+// Certain path: random σ/π/⋈ UStream chains vs the naive operators
 // ---------------------------------------------------------------------
 
 /// Numeric-or-NULL values: safe under comparison and arithmetic, with
@@ -75,74 +75,64 @@ fn arb_num() -> impl Strategy<Value = Value> {
     ]
 }
 
-/// A catalog with two all-numeric tables, `t0` (3 columns) and `t1`
-/// (2 columns).
-fn arb_catalog() -> impl Strategy<Value = Catalog> {
+/// Two all-numeric tables: `t0` (3 columns) and `t1` (2 columns).
+fn arb_tables() -> impl Strategy<Value = [Relation; 2]> {
     (
         prop::collection::vec((arb_num(), arb_num(), arb_num()), 0..20),
         prop::collection::vec((arb_num(), arb_num()), 0..8),
     )
         .prop_map(|(rows0, rows1)| {
-            let mut c = Catalog::new();
             let s0 = Arc::new(Schema::from_pairs(&[
                 ("a", DataType::Unknown),
                 ("b", DataType::Unknown),
                 ("c", DataType::Unknown),
             ]));
-            c.create(
-                "t0",
-                Relation::new_unchecked(
-                    s0,
-                    rows0.into_iter().map(|(a, b, x)| Tuple::new(vec![a, b, x])).collect(),
-                ),
-            )
-            .unwrap();
             let s1 = Arc::new(Schema::from_pairs(&[
                 ("d", DataType::Unknown),
                 ("e", DataType::Unknown),
             ]));
-            c.create(
-                "t1",
+            [
+                Relation::new_unchecked(
+                    s0,
+                    rows0.into_iter().map(|(a, b, x)| Tuple::new(vec![a, b, x])).collect(),
+                ),
                 Relation::new_unchecked(
                     s1,
                     rows1.into_iter().map(|(d, e)| Tuple::new(vec![d, e])).collect(),
                 ),
-            )
-            .unwrap();
-            c
+            ]
         })
 }
 
-/// One plan-building token: `(opcode, a, b)`.
+/// One chain-building token: `(opcode, a, b)`.
 type Token = (u8, u8, u8);
 
-fn table_arity(idx: u8) -> (String, usize) {
-    if idx.is_multiple_of(2) {
-        ("t0".to_string(), 3)
-    } else {
-        ("t1".to_string(), 2)
-    }
+/// One stage of a certain σ/π/⋈ chain.
+enum Step {
+    Filter(Expr),
+    Project(Vec<ProjectItem>),
+    /// Hash join against `tables[table]` (the chain is the probe side).
+    Join { table: usize, left_key: usize, right_key: usize },
 }
 
-/// Fold a token program into a well-typed plan, tracking output arity.
-/// All columns stay numeric-or-NULL, so every generated expression is
-/// total on the data.
-fn build_plan(base: u8, tokens: &[Token]) -> PhysicalPlan {
-    let (table, mut arity) = table_arity(base);
-    let mut plan = PhysicalPlan::Scan { table, alias: None };
+/// Fold a token program into a well-typed chain over `tables[base % 2]`,
+/// tracking output arity (returned last). All columns stay
+/// numeric-or-NULL, so every generated expression is total on the data.
+fn build_steps(base: u8, tokens: &[Token]) -> (usize, Vec<Step>, usize) {
+    let arity_of = |t: usize| if t == 0 { 3 } else { 2 };
+    let source = base as usize % 2;
+    let mut arity = arity_of(source);
+    let mut steps = Vec::new();
     for &(op, a, b) in tokens {
         let col = |x: u8| Expr::ColumnIdx(x as usize % arity);
-        match op % 9 {
+        match op % 3 {
             0 => {
                 let cmp = if b % 2 == 0 {
                     maybms_engine::BinaryOp::Gt
                 } else {
                     maybms_engine::BinaryOp::LtEq
                 };
-                plan = PhysicalPlan::Filter {
-                    input: Box::new(plan),
-                    predicate: col(a).binary(cmp, Expr::lit(i64::from(b % 5))),
-                };
+                steps.push(Step::Filter(col(a).binary(cmp, Expr::lit(i64::from(b % 5)))));
             }
             1 => {
                 // Rotate the columns and append one computed column.
@@ -159,122 +149,186 @@ fn build_plan(base: u8, tokens: &[Token]) -> PhysicalPlan {
                     "sum",
                 ));
                 arity += 1;
-                plan = PhysicalPlan::Project { input: Box::new(plan), items };
-            }
-            2 => {
-                let (rt, ra) = table_arity(b);
-                plan = PhysicalPlan::HashJoin {
-                    left: Box::new(plan),
-                    right: Box::new(PhysicalPlan::Scan { table: rt, alias: None }),
-                    left_keys: vec![a as usize % arity],
-                    right_keys: vec![b as usize % ra],
-                };
-                arity += ra;
-            }
-            3 => plan = PhysicalPlan::Distinct { input: Box::new(plan) },
-            4 => {
-                plan = PhysicalPlan::Sort {
-                    input: Box::new(plan),
-                    keys: vec![SortKey { expr: col(a), ascending: b % 2 == 0 }],
-                };
-            }
-            5 => plan = PhysicalPlan::Limit { input: Box::new(plan), n: a as usize % 9 },
-            6 => {
-                plan = PhysicalPlan::UnionAll { inputs: vec![plan.clone(), plan] };
-            }
-            8 => {
-                // Grouped aggregation (the streaming breaker): every
-                // aggregate function, with and without group keys, over
-                // numeric-or-NULL columns (NULL keys form groups too).
-                let n_keys = (a % 2) as usize;
-                let (group_exprs, group_names) = if n_keys == 1 {
-                    (vec![col(b)], vec!["g".to_string()])
-                } else {
-                    (Vec::new(), Vec::new())
-                };
-                let aggs = vec![
-                    AggCall::new(AggFunc::Count, None, "n"),
-                    AggCall::new(AggFunc::Sum, Some(col(a)), "s"),
-                    AggCall::new(AggFunc::Avg, Some(col(b)), "m"),
-                    AggCall::new(AggFunc::Min, Some(col(a)), "lo"),
-                    AggCall::new(AggFunc::Max, Some(col(b)), "hi"),
-                ];
-                plan = PhysicalPlan::Aggregate {
-                    input: Box::new(plan),
-                    group_exprs,
-                    group_names,
-                    aggs,
-                };
-                arity = n_keys + 5;
+                steps.push(Step::Project(items));
             }
             _ => {
-                let (rt, ra) = table_arity(b);
-                let pred = Expr::ColumnIdx(a as usize % arity)
-                    .binary(maybms_engine::BinaryOp::Lt, Expr::ColumnIdx(arity));
-                plan = PhysicalPlan::NestedLoopJoin {
-                    left: Box::new(plan),
-                    right: Box::new(PhysicalPlan::Scan { table: rt, alias: None }),
-                    predicate: if a % 2 == 0 { Some(pred) } else { None },
-                };
-                arity += ra;
+                let table = b as usize % 2;
+                steps.push(Step::Join {
+                    table,
+                    left_key: a as usize % arity,
+                    right_key: b as usize % arity_of(table),
+                });
+                arity += arity_of(table);
             }
         }
     }
-    plan
+    (source, steps, arity)
 }
 
-fn arb_tokens() -> impl Strategy<Value = Vec<Token>> {
-    prop::collection::vec((0u8..9, 0u8..16, 0u8..16), 0..6)
+/// A terminal grouped aggregation over a chain of output arity `arity`
+/// (the streaming breaker): every standard aggregate function, with
+/// zero or one group key, over numeric-or-NULL columns (NULL keys and
+/// `1 == 1.0` duplicates form groups too).
+fn build_agg(arity: usize, (keyed, a, b): (bool, u8, u8)) -> (Vec<Expr>, Vec<AggCall>) {
+    let col = |x: u8| Expr::ColumnIdx(x as usize % arity);
+    let group_exprs = if keyed { vec![col(b)] } else { Vec::new() };
+    let aggs = vec![
+        AggCall::new(AggFunc::Count, None, "n"),
+        AggCall::new(AggFunc::Sum, Some(col(a)), "s"),
+        AggCall::new(AggFunc::Avg, Some(col(b)), "m"),
+        AggCall::new(AggFunc::Min, Some(col(a)), "lo"),
+        AggCall::new(AggFunc::Max, Some(col(b)), "hi"),
+    ];
+    (group_exprs, aggs)
+}
+
+/// The aggregation through the SQL path's streaming group breaker
+/// (`core::agg` with `AggSpec::Std`).
+fn stream_agg(
+    stream: UStream,
+    group_exprs: &[Expr],
+    aggs: &[AggCall],
+    pool: &ThreadPool,
+    morsel: usize,
+) -> Relation {
+    let key_fields: Vec<Field> =
+        group_exprs.iter().map(|_| Field::new("g", DataType::Unknown)).collect();
+    let specs: Vec<(AggSpec, String)> = aggs
+        .iter()
+        .map(|c| (AggSpec::Std { func: c.func, arg: c.arg.clone() }, c.name.clone()))
+        .collect();
+    let (wt, ctx) = (WorldTable::new(), uagg::ConfContext::default());
+    uagg::aggregate_stream_with(
+        stream,
+        group_exprs,
+        group_exprs.len(),
+        key_fields,
+        &specs,
+        &wt,
+        &ctx,
+        None,
+        pool,
+        morsel,
+    )
+    .unwrap()
+}
+
+/// The chain through the seed-faithful naive operators.
+fn run_naive(tables: &[Relation; 2], source: usize, steps: &[Step]) -> Relation {
+    let mut r = tables[source].clone();
+    for step in steps {
+        r = match step {
+            Step::Filter(p) => naive::filter(&r, p),
+            Step::Project(items) => naive::project(&r, items),
+            Step::Join { table, left_key, right_key } => {
+                naive::hash_join(&r, &tables[*table], &[*left_key], &[*right_key])
+            }
+        }
+        .unwrap();
+    }
+    r
+}
+
+/// The chain through the materialising `engine::ops` operators (same
+/// build-right/probe-left join convention as the fused probe, so row
+/// order is directly comparable).
+fn run_ops(tables: &[Relation; 2], source: usize, steps: &[Step]) -> Relation {
+    let mut r = tables[source].clone();
+    for step in steps {
+        r = match step {
+            Step::Filter(p) => ops::filter(&r, p),
+            Step::Project(items) => ops::project(&r, items),
+            Step::Join { table, left_key, right_key } => {
+                ops::hash_join(&r, &tables[*table], &[*left_key], &[*right_key])
+            }
+        }
+        .unwrap();
+    }
+    r
+}
+
+/// The chain as one fused `UStream` over certain U-relations (`lifted`
+/// are the tables already lifted by `URelation::from_certain`).
+fn certain_stream(lifted: &[URelation; 2], source: usize, steps: &[Step]) -> UStream {
+    let mut s = UStream::new(lifted[source].clone());
+    for step in steps {
+        s = match step {
+            Step::Filter(p) => s.filter(p),
+            Step::Project(items) => s.project(items),
+            Step::Join { table, left_key, right_key } => {
+                s.hash_join(lifted[*table].clone(), &[*left_key], &[*right_key])
+            }
+        }
+        .unwrap();
+    }
+    s
+}
+
+fn sorted(r: &Relation) -> Vec<Tuple> {
+    let mut t = r.tuples().to_vec();
+    t.sort();
+    t
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// pipe::execute ≡ PhysicalPlan::execute, exactly, at 1/2/8 threads
-    /// and morsel sizes down to one row.
+    /// A fused UStream chain over certain relations ≡ the materialising
+    /// `engine::ops` chain (rows and order), and ≡ the naive operators
+    /// as a bag, at 1/2/8 threads and morsel sizes down to one row —
+    /// over row-store sources and over columnar-at-rest (`compact()`)
+    /// sources alike, every WSD tautological. With a terminal grouped
+    /// aggregation, the streaming group breaker (per-morsel states
+    /// merged) ≡ `ops::aggregate` over the materialised chain, exactly.
     #[test]
     fn pipelined_plan_matches_materialized(
-        catalog in arb_catalog(),
+        tables in arb_tables(),
         base in 0u8..2,
-        tokens in arb_tokens(),
+        tokens in prop::collection::vec((0u8..3, 0u8..16, 0u8..16), 0..6),
+        agg_tok in prop::option::of((any::<bool>(), 0u8..16, 0u8..16)),
     ) {
-        let plan = build_plan(base, &tokens);
-        let materialized = plan.execute(&catalog).unwrap();
-        for threads in [1usize, 2, 8] {
-            let pool = ThreadPool::new(threads);
-            for morsel in [1usize, 4] {
-                let pipelined =
-                    maybms_pipe::execute_with(&plan, &catalog, &pool, morsel).unwrap();
-                prop_assert_eq!(
-                    pipelined.schema().names(),
-                    materialized.schema().names(),
-                    "schema, threads {} morsel {}", threads, morsel
-                );
-                prop_assert_eq!(
-                    pipelined.tuples(),
-                    materialized.tuples(),
-                    "tuples, threads {} morsel {}", threads, morsel
-                );
+        let (source, steps, arity) = build_steps(base, &tokens);
+        let chain = run_ops(&tables, source, &steps);
+        prop_assert_eq!(sorted(&run_naive(&tables, source, &steps)), sorted(&chain));
+        let agg = agg_tok.map(|tok| build_agg(arity, tok));
+        let materialized = match &agg {
+            None => chain,
+            Some((group_exprs, aggs)) => {
+                let names: Vec<String> = group_exprs.iter().map(|_| "g".to_string()).collect();
+                ops::aggregate(&chain, group_exprs, &names, aggs).unwrap()
+            }
+        };
+        let row_store = [0, 1].map(|i| URelation::from_certain(&tables[i]));
+        let compacted = [0, 1].map(|i| URelation::from_certain(&tables[i].compact()));
+        prop_assert!(compacted.iter().all(URelation::is_columnar));
+        for lifted in [&row_store, &compacted] {
+            for threads in [1usize, 2, 8] {
+                let pool = ThreadPool::new(threads);
+                for morsel in [1usize, 4] {
+                    let stream = certain_stream(lifted, source, &steps);
+                    let pipelined = match &agg {
+                        None => {
+                            let u = stream.collect_with(&pool, morsel).unwrap();
+                            prop_assert!(u.is_t_certain());
+                            u.into_certain()
+                        }
+                        Some((group_exprs, aggs)) => {
+                            stream_agg(stream, group_exprs, aggs, &pool, morsel)
+                        }
+                    };
+                    prop_assert_eq!(
+                        pipelined.schema().names(),
+                        materialized.schema().names(),
+                        "schema, threads {} morsel {}", threads, morsel
+                    );
+                    prop_assert_eq!(
+                        pipelined.tuples(),
+                        materialized.tuples(),
+                        "tuples, threads {} morsel {}", threads, morsel
+                    );
+                }
             }
         }
-    }
-
-    /// The optimizer's rewrites (including the new Project-merge and
-    /// identity-elimination rules) compose with pipelining: optimizing
-    /// then pipelining equals executing the optimized plan bottom-up.
-    #[test]
-    fn optimized_plan_pipelines_identically(
-        catalog in arb_catalog(),
-        base in 0u8..2,
-        tokens in arb_tokens(),
-    ) {
-        let plan = build_plan(base, &tokens);
-        let optimized = optimizer::optimize(&plan, &catalog).unwrap();
-        let materialized = optimized.execute(&catalog).unwrap();
-        let pool = ThreadPool::new(8);
-        let pipelined =
-            maybms_pipe::execute_with(&optimized, &catalog, &pool, 1).unwrap();
-        prop_assert_eq!(pipelined.tuples(), materialized.tuples());
     }
 }
 
@@ -423,7 +477,7 @@ proptest! {
             let (_, stream, _) = build_uchain(&u1, &u2, &tokens);
             let ps = stream.stats_skeleton("property pipeline");
             let got = stream
-                .collect_stats(&pool, 1, maybms_pipe::columnar_default(), Some(&ps))
+                .collect_stats(&pool, 1, Some(&ps))
                 .unwrap();
             prop_assert_eq!(got.tuples(), eager.tuples(), "threads {}", threads);
             fingerprints.push(stage_fingerprint(&ps));

@@ -9,8 +9,9 @@
 //!   `IN`, `CAST`) over random column batches (typed, mixed-variant,
 //!   all-NULL, empty, single-row) checked against per-row
 //!   [`Expr::eval_values`];
-//! * certain pipelines — random σ/π/⋈ chains executed with the columnar
-//!   path on vs off, at 1/2/8 threads and single-row morsels;
+//! * certain pipelines — random σ/π/⋈ `UStream` chains over lifted
+//!   certain relations, collected with the columnar path on vs off, at
+//!   1/2/8 threads and single-row morsels;
 //! * U-relational pipelines — `UStream` chains (WSDs riding along)
 //!   collected with the columnar path on vs off.
 //!
@@ -22,11 +23,8 @@
 use std::sync::Arc;
 
 use maybms_engine::column::ColumnBatch;
-use maybms_engine::ops::ProjectItem;
-use maybms_engine::{
-    vector, BinaryOp, Catalog, DataType, Expr, PhysicalPlan, Relation, Schema, Tuple,
-    UnaryOp, Value,
-};
+use maybms_engine::ops::{self, ProjectItem};
+use maybms_engine::{vector, BinaryOp, DataType, Expr, Relation, Schema, Tuple, UnaryOp, Value};
 use maybms_par::ThreadPool;
 use maybms_pipe::UStream;
 use maybms_urel::{Assignment, URelation, UTuple, Var, Wsd};
@@ -208,62 +206,56 @@ fn arb_num() -> impl Strategy<Value = Value> {
     ]
 }
 
-fn arb_catalog() -> impl Strategy<Value = Catalog> {
+/// Two all-numeric tables: `t0` (3 columns) and `t1` (2 columns).
+fn arb_tables() -> impl Strategy<Value = [Relation; 2]> {
     (
         prop::collection::vec((arb_num(), arb_num(), arb_num()), 0..20),
         prop::collection::vec((arb_num(), arb_num()), 0..8),
     )
         .prop_map(|(rows0, rows1)| {
-            let mut c = Catalog::new();
             let s0 = Arc::new(Schema::from_pairs(&[
                 ("a", DataType::Unknown),
                 ("b", DataType::Unknown),
                 ("c", DataType::Unknown),
             ]));
-            c.create(
-                "t0",
-                Relation::new_unchecked(
-                    s0,
-                    rows0.into_iter().map(|(a, b, x)| Tuple::new(vec![a, b, x])).collect(),
-                ),
-            )
-            .unwrap();
             let s1 = Arc::new(Schema::from_pairs(&[
                 ("d", DataType::Unknown),
                 ("e", DataType::Unknown),
             ]));
-            c.create(
-                "t1",
+            [
+                Relation::new_unchecked(
+                    s0,
+                    rows0.into_iter().map(|(a, b, x)| Tuple::new(vec![a, b, x])).collect(),
+                ),
                 Relation::new_unchecked(
                     s1,
                     rows1.into_iter().map(|(d, e)| Tuple::new(vec![d, e])).collect(),
                 ),
-            )
-            .unwrap();
-            c
+            ]
         })
 }
 
 type Token = (u8, u8, u8);
 
+/// One stage of a certain σ/π/⋈ chain.
+enum Step {
+    Filter(Expr),
+    Project(Vec<ProjectItem>),
+    /// Hash join against table `table` (the chain is the probe side).
+    Join { table: usize, left_key: usize, right_key: usize },
+}
+
 /// σ/π/hash-probe chains — exactly the stage shapes the columnar prefix
 /// covers (breakers are shared between both paths).
-fn build_chain(base: u8, tokens: &[Token]) -> PhysicalPlan {
-    let (table, mut arity) = if base.is_multiple_of(2) {
-        ("t0".to_string(), 3usize)
-    } else {
-        ("t1".to_string(), 2usize)
-    };
-    let mut plan = PhysicalPlan::Scan { table, alias: None };
+fn build_chain(base: u8, tokens: &[Token]) -> (usize, Vec<Step>) {
+    let arity_of = |t: usize| if t == 0 { 3 } else { 2 };
+    let source = base as usize % 2;
+    let mut arity = arity_of(source);
+    let mut steps = Vec::new();
     for &(op, a, b) in tokens {
         let col = |x: u8| Expr::ColumnIdx(x as usize % arity);
         match op % 4 {
-            0 => {
-                plan = PhysicalPlan::Filter {
-                    input: Box::new(plan),
-                    predicate: col(a).binary(cmp_op(b), Expr::lit(i64::from(b % 5))),
-                };
-            }
+            0 => steps.push(Step::Filter(col(a).binary(cmp_op(b), Expr::lit(i64::from(b % 5))))),
             1 => {
                 // Conjunction with a comparison right side (vectorises)
                 // or an IS NULL (vectorises) — NULL-heavy keys exercise
@@ -273,10 +265,7 @@ fn build_chain(base: u8, tokens: &[Token]) -> PhysicalPlan {
                 } else {
                     Expr::IsNull { expr: Box::new(col(b)), negated: a % 2 == 0 }
                 };
-                plan = PhysicalPlan::Filter {
-                    input: Box::new(plan),
-                    predicate: col(a).binary(BinaryOp::Gt, Expr::lit(1i64)).and(right),
-                };
+                steps.push(Step::Filter(col(a).binary(BinaryOp::Gt, Expr::lit(1i64)).and(right)));
             }
             2 => {
                 let mut items: Vec<ProjectItem> = (0..arity)
@@ -294,58 +283,95 @@ fn build_chain(base: u8, tokens: &[Token]) -> PhysicalPlan {
                     "sum",
                 ));
                 arity += 1;
-                plan = PhysicalPlan::Project { input: Box::new(plan), items };
+                steps.push(Step::Project(items));
             }
             _ => {
-                let (rt, ra) = if b % 2 == 0 { ("t0", 3) } else { ("t1", 2) };
-                plan = PhysicalPlan::HashJoin {
-                    left: Box::new(plan),
-                    right: Box::new(PhysicalPlan::Scan { table: rt.into(), alias: None }),
-                    left_keys: vec![a as usize % arity],
-                    right_keys: vec![b as usize % ra],
-                };
-                arity += ra;
+                let table = b as usize % 2;
+                steps.push(Step::Join {
+                    table,
+                    left_key: a as usize % arity,
+                    right_key: b as usize % arity_of(table),
+                });
+                arity += arity_of(table);
             }
         }
     }
-    plan
+    (source, steps)
+}
+
+/// The chain through the materialising `engine::ops` operators.
+fn run_ops(tables: &[Relation], source: usize, steps: &[Step]) -> maybms_engine::Result<Relation> {
+    let mut r = tables[source].clone();
+    for step in steps {
+        r = match step {
+            Step::Filter(p) => ops::filter(&r, p)?,
+            Step::Project(items) => ops::project(&r, items)?,
+            Step::Join { table, left_key, right_key } => {
+                ops::hash_join(&r, &tables[*table], &[*left_key], &[*right_key])?
+            }
+        };
+    }
+    Ok(r)
+}
+
+/// The chain as one fused `UStream` over certain U-relations.
+fn certain_stream(lifted: &[URelation], source: usize, steps: &[Step]) -> UStream {
+    let mut s = UStream::new(lifted[source].clone());
+    for step in steps {
+        s = match step {
+            Step::Filter(p) => s.filter(p),
+            Step::Project(items) => s.project(items),
+            Step::Join { table, left_key, right_key } => {
+                s.hash_join(lifted[*table].clone(), &[*left_key], &[*right_key])
+            }
+        }
+        .unwrap();
+    }
+    s
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Columnar pipeline ≡ row pipeline ≡ materialised plan, at 1/2/8
-    /// threads and morsel sizes down to one row.
+    /// Columnar pipeline ≡ row pipeline ≡ materialised chain, at 1/2/8
+    /// threads and morsel sizes down to one row, over row-store and
+    /// columnar-at-rest (zero-pivot) sources.
     #[test]
     fn columnar_pipeline_matches_row_pipeline(
-        catalog in arb_catalog(),
+        tables in arb_tables(),
         base in 0u8..2,
         tokens in prop::collection::vec((0u8..4, 0u8..16, 0u8..16), 0..6),
     ) {
-        let plan = build_chain(base, &tokens);
-        let materialized = plan.execute(&catalog).unwrap();
-        for threads in [1usize, 2, 8] {
-            let pool = ThreadPool::new(threads);
-            for morsel in [1usize, 4] {
-                let row = maybms_pipe::execute_opts(&plan, &catalog, &pool, morsel, false)
-                    .unwrap();
-                let col = maybms_pipe::execute_opts(&plan, &catalog, &pool, morsel, true)
-                    .unwrap();
-                prop_assert_eq!(
-                    col.schema().names(),
-                    row.schema().names(),
-                    "schema, threads {} morsel {}", threads, morsel
-                );
-                prop_assert_eq!(
-                    col.tuples(),
-                    row.tuples(),
-                    "columnar vs row, threads {} morsel {}", threads, morsel
-                );
-                prop_assert_eq!(
-                    col.tuples(),
-                    materialized.tuples(),
-                    "columnar vs materialised, threads {} morsel {}", threads, morsel
-                );
+        let (source, steps) = build_chain(base, &tokens);
+        let materialized = run_ops(&tables, source, &steps).unwrap();
+        let row_store = [0, 1].map(|i| URelation::from_certain(&tables[i]));
+        let compacted = [0, 1].map(|i| URelation::from_certain(&tables[i].compact()));
+        for lifted in [&row_store, &compacted] {
+            for threads in [1usize, 2, 8] {
+                let pool = ThreadPool::new(threads);
+                for morsel in [1usize, 4] {
+                    let row = certain_stream(lifted, source, &steps)
+                        .collect_opts(&pool, morsel, false)
+                        .unwrap();
+                    let col = certain_stream(lifted, source, &steps)
+                        .collect_opts(&pool, morsel, true)
+                        .unwrap();
+                    prop_assert_eq!(
+                        col.schema().names(),
+                        row.schema().names(),
+                        "schema, threads {} morsel {}", threads, morsel
+                    );
+                    prop_assert_eq!(
+                        col.tuples(),
+                        row.tuples(),
+                        "columnar vs row, threads {} morsel {}", threads, morsel
+                    );
+                    prop_assert_eq!(
+                        col.into_certain().tuples(),
+                        materialized.tuples(),
+                        "columnar vs materialised, threads {} morsel {}", threads, morsel
+                    );
+                }
             }
         }
     }
@@ -456,97 +482,87 @@ proptest! {
 // Pinned Value-semantics regressions (scalar ≡ vectorised, each)
 // ---------------------------------------------------------------------
 
-/// Run a plan through both pipeline paths; they must agree exactly —
-/// values or error message. (The materialised executor triangulates on
-/// success; on error it may legitimately surface a *different* row's
-/// error, since it runs stage-major while fused pipelines run
-/// row-major — the columnar ≡ row contract is the strict one.)
-fn three_way(plan: &PhysicalPlan, catalog: &Catalog) {
+/// Run a chain over `t` through both pipeline paths, from a row-store
+/// source and from its compacted (columnar-at-rest: dictionary-encoded
+/// text, `Values` for mixed columns) twin; the paths must agree exactly
+/// — values or error message. (The materialised `ops` chain
+/// triangulates on success; on error it may legitimately surface a
+/// *different* row's error, since it runs stage-major while fused
+/// pipelines run row-major — the columnar ≡ row contract is the strict
+/// one.)
+fn three_way(t: &Relation, steps: &[Step]) {
     let pool = ThreadPool::new(2);
-    let materialized = plan.execute(catalog);
-    let row = maybms_pipe::execute_opts(plan, catalog, &pool, 1, false);
-    let col = maybms_pipe::execute_opts(plan, catalog, &pool, 1, true);
-    match (row, col) {
-        (Ok(r), Ok(c)) => {
-            assert_eq!(r.tuples(), c.tuples(), "columnar vs row");
-            assert_eq!(
-                materialized.expect("pipelines succeeded").tuples(),
-                r.tuples(),
-                "vs materialised"
-            );
+    for source in [t.clone(), t.compact()] {
+        let tables = [source.clone()];
+        let lifted = [URelation::from_certain(&source)];
+        let materialized = run_ops(&tables, 0, steps);
+        let row = certain_stream(&lifted, 0, steps).collect_opts(&pool, 1, false);
+        let col = certain_stream(&lifted, 0, steps).collect_opts(&pool, 1, true);
+        match (row, col) {
+            (Ok(r), Ok(c)) => {
+                assert_eq!(r.tuples(), c.tuples(), "columnar vs row");
+                assert_eq!(
+                    materialized.expect("pipelines succeeded").tuples(),
+                    r.into_certain().tuples(),
+                    "vs materialised"
+                );
+            }
+            (Err(re), Err(ce)) => {
+                assert_eq!(re.to_string(), ce.to_string(), "columnar vs row error");
+                assert!(materialized.is_err(), "materialised must error too");
+            }
+            (r, c) => panic!("path divergence: row {r:?} vs columnar {c:?}"),
         }
-        (Err(re), Err(ce)) => {
-            assert_eq!(re.to_string(), ce.to_string(), "columnar vs row error");
-            assert!(materialized.is_err(), "materialised must error too");
-        }
-        (r, c) => panic!("path divergence: row {r:?} vs columnar {c:?}"),
     }
 }
 
-fn one_table(rows: Vec<Vec<Value>>) -> Catalog {
-    let mut c = Catalog::new();
+fn one_table(rows: Vec<Vec<Value>>) -> Relation {
     let schema = Arc::new(Schema::from_pairs(&[
         ("a", DataType::Unknown),
         ("b", DataType::Unknown),
     ]));
-    c.create(
-        "t",
-        Relation::new_unchecked(schema, rows.into_iter().map(Tuple::new).collect()),
-    )
-    .unwrap();
-    c
-}
-
-fn scan() -> PhysicalPlan {
-    PhysicalPlan::Scan { table: "t".into(), alias: None }
+    Relation::new_unchecked(schema, rows.into_iter().map(Tuple::new).collect())
 }
 
 #[test]
 fn regression_concat_with_null() {
-    let c = one_table(vec![
+    let t = one_table(vec![
         vec![Value::str("a"), Value::str("b")],
         vec![Value::str("x"), Value::Null],
         vec![Value::Null, Value::Null],
     ]);
-    let plan = PhysicalPlan::Project {
-        input: Box::new(scan()),
-        items: vec![ProjectItem::new(
+    three_way(
+        &t,
+        &[Step::Project(vec![ProjectItem::new(
             Expr::col("a").binary(BinaryOp::Concat, Expr::col("b")),
             "ab",
-        )],
-    };
-    three_way(&plan, &c);
+        )])],
+    );
     // And as a predicate operand: (a || b) IS NULL.
-    let plan = PhysicalPlan::Filter {
-        input: Box::new(scan()),
-        predicate: Expr::IsNull {
+    three_way(
+        &t,
+        &[Step::Filter(Expr::IsNull {
             expr: Box::new(Expr::col("a").binary(BinaryOp::Concat, Expr::col("b"))),
             negated: false,
-        },
-    };
-    three_way(&plan, &c);
+        })],
+    );
 }
 
 #[test]
 fn regression_mod_by_zero() {
     // Integer % 0 errors at row 1 on every path; rows before it flow.
-    let c = one_table(vec![
+    let modulo = [Step::Project(vec![ProjectItem::new(
+        Expr::col("a").binary(BinaryOp::Mod, Expr::col("b")),
+        "m",
+    )])];
+    let t = one_table(vec![
         vec![Value::Int(7), Value::Int(2)],
         vec![Value::Int(7), Value::Int(0)],
     ]);
-    let plan = PhysicalPlan::Project {
-        input: Box::new(scan()),
-        items: vec![ProjectItem::new(
-            Expr::col("a").binary(BinaryOp::Mod, Expr::col("b")),
-            "m",
-        )],
-    };
-    three_way(&plan, &c);
+    three_way(&t, &modulo);
     // Float % 0.0, and the Int % Float(0.0) cross-type case.
-    let c = one_table(vec![vec![Value::Float(7.5), Value::Float(0.0)]]);
-    three_way(&plan, &c);
-    let c = one_table(vec![vec![Value::Int(7), Value::Float(0.0)]]);
-    three_way(&plan, &c);
+    three_way(&one_table(vec![vec![Value::Float(7.5), Value::Float(0.0)]]), &modulo);
+    three_way(&one_table(vec![vec![Value::Int(7), Value::Float(0.0)]]), &modulo);
 }
 
 #[test]
@@ -554,18 +570,14 @@ fn regression_float_int_cross_comparisons() {
     // Mixed Int/Float comparisons — including the > 2^53 zone where the
     // scalar path's f64 widening makes distinct ints compare Equal.
     let big = 1i64 << 60;
-    let c = one_table(vec![
+    let t = one_table(vec![
         vec![Value::Int(2), Value::Float(2.0)],
         vec![Value::Int(2), Value::Float(2.5)],
         vec![Value::Int(big), Value::Int(big + 1)],
         vec![Value::Null, Value::Float(1.0)],
     ]);
     for op in [BinaryOp::Eq, BinaryOp::NotEq, BinaryOp::Lt, BinaryOp::GtEq] {
-        let plan = PhysicalPlan::Filter {
-            input: Box::new(scan()),
-            predicate: Expr::col("a").binary(op, Expr::col("b")),
-        };
-        three_way(&plan, &c);
+        three_way(&t, &[Step::Filter(Expr::col("a").binary(op, Expr::col("b")))]);
     }
 }
 
@@ -573,22 +585,23 @@ fn regression_float_int_cross_comparisons() {
 fn regression_mixed_variant_column_concat() {
     // A mixed Int/Float column must render per-variant under || —
     // Int(1) is "1", Float(1.0) is "1.0" — on every path.
-    let c = one_table(vec![
+    let t = one_table(vec![
         vec![Value::Int(1), Value::str("x")],
         vec![Value::Float(1.0), Value::str("x")],
     ]);
-    let plan = PhysicalPlan::Project {
-        input: Box::new(scan()),
-        items: vec![ProjectItem::new(
-            Expr::col("a").binary(BinaryOp::Concat, Expr::col("b")),
-            "ax",
-        )],
-    };
-    three_way(&plan, &c);
+    let steps = [Step::Project(vec![ProjectItem::new(
+        Expr::col("a").binary(BinaryOp::Concat, Expr::col("b")),
+        "ax",
+    )])];
+    three_way(&t, &steps);
     let pool = ThreadPool::new(1);
-    let out = maybms_pipe::execute_opts(&plan, &c, &pool, 1, true).unwrap();
-    assert_eq!(out.tuples()[0].value(0), &Value::str("1x"));
-    assert_eq!(out.tuples()[1].value(0), &Value::str("1.0x"));
+    for source in [t.clone(), t.compact()] {
+        let out = certain_stream(&[URelation::from_certain(&source)], 0, &steps)
+            .collect_opts(&pool, 1, true)
+            .unwrap();
+        assert_eq!(out.tuples()[0].data.value(0), &Value::str("1x"));
+        assert_eq!(out.tuples()[1].data.value(0), &Value::str("1.0x"));
+    }
 }
 
 #[test]
@@ -596,21 +609,20 @@ fn regression_division_error_vs_filter_order() {
     // Row 0 passes the filter and then divides by zero in the project;
     // row 1 would error in the filter — row-major order means the
     // project's row-0 error must win on every path.
-    let c = one_table(vec![
+    let t = one_table(vec![
         vec![Value::Int(1), Value::Int(0)],
         vec![Value::str("s"), Value::Int(1)],
     ]);
-    let plan = PhysicalPlan::Project {
-        input: Box::new(PhysicalPlan::Filter {
-            input: Box::new(scan()),
-            predicate: Expr::col("a").binary(BinaryOp::LtEq, Expr::lit(5i64)),
-        }),
-        items: vec![ProjectItem::new(
-            Expr::lit(1i64).binary(BinaryOp::Div, Expr::col("b")),
-            "q",
-        )],
-    };
-    three_way(&plan, &c);
+    three_way(
+        &t,
+        &[
+            Step::Filter(Expr::col("a").binary(BinaryOp::LtEq, Expr::lit(5i64))),
+            Step::Project(vec![ProjectItem::new(
+                Expr::lit(1i64).binary(BinaryOp::Div, Expr::col("b")),
+                "q",
+            )]),
+        ],
+    );
 }
 
 #[test]
@@ -619,51 +631,37 @@ fn regression_fold_keeps_error_beside_constant_false() {
     // side, so bind-time folding must not rewrite the predicate to
     // `false` — the pipelined paths must error exactly like the
     // materialising one.
-    let c = one_table(vec![vec![Value::Int(1), Value::Int(2)]]);
+    let t = one_table(vec![vec![Value::Int(1), Value::Int(2)]]);
     let boom =
         Expr::lit(1i64).binary(BinaryOp::Div, Expr::lit(0i64)).eq(Expr::lit(1i64));
-    let plan = PhysicalPlan::Filter {
-        input: Box::new(scan()),
-        predicate: boom.clone().and(Expr::lit(false)),
-    };
-    assert!(plan.execute(&c).is_err(), "materialising path errors");
-    three_way(&plan, &c);
+    let pred = boom.clone().and(Expr::lit(false));
+    assert!(ops::filter(&t, &pred).is_err(), "materialising path errors");
+    three_way(&t, &[Step::Filter(pred)]);
     // Mirrored: `false AND (1/0 = 1)` short-circuits — no error, empty.
-    let plan = PhysicalPlan::Filter {
-        input: Box::new(scan()),
-        predicate: Expr::lit(false).and(boom),
-    };
-    assert_eq!(plan.execute(&c).unwrap().len(), 0);
-    three_way(&plan, &c);
+    let pred = Expr::lit(false).and(boom);
+    assert_eq!(ops::filter(&t, &pred).unwrap().len(), 0);
+    three_way(&t, &[Step::Filter(pred)]);
 }
 
 #[test]
 fn explain_marks_vectorised_stages() {
-    if !maybms_pipe::columnar_default() {
-        return; // MAYBMS_COLUMNAR=0 leg: nothing vectorises.
-    }
-    let plan = PhysicalPlan::Project {
-        input: Box::new(PhysicalPlan::Filter {
-            input: Box::new(scan()),
-            predicate: Expr::col("a").binary(BinaryOp::Gt, Expr::lit(1i64)),
-        }),
-        items: vec![ProjectItem::new(
-            Expr::col("a").binary(BinaryOp::Add, Expr::col("b")),
-            "s",
-        )],
-    };
-    let text = maybms_pipe::explain(&plan);
-    assert!(text.contains("-> filter (a > 1) (vectorised)"), "{text}");
-    assert!(text.contains("(vectorised)\n"), "{text}");
+    let u = URelation::from_certain(&one_table(vec![vec![Value::Int(1), Value::Int(2)]]));
+    let text = UStream::new(u.clone())
+        .filter(&Expr::col("a").binary(BinaryOp::Gt, Expr::lit(1i64)))
+        .unwrap()
+        .project(&[ProjectItem::new(Expr::col("a").binary(BinaryOp::Add, Expr::col("b")), "s")])
+        .unwrap()
+        .describe();
+    assert!(text.contains("-> filter (#0 > 1) (vectorised)"), "{text}");
+    assert!(text.contains("-> project [(#0 + #1)] (vectorised)"), "{text}");
     // CASE stays scalar — and says so by not being marked.
-    let plan = PhysicalPlan::Filter {
-        input: Box::new(scan()),
-        predicate: Expr::Case {
+    let text = UStream::new(u)
+        .filter(&Expr::Case {
             branches: vec![(Expr::col("a").binary(BinaryOp::Gt, Expr::lit(0i64)), Expr::lit(true))],
             else_expr: Some(Box::new(Expr::lit(false))),
-        },
-    };
-    let text = maybms_pipe::explain(&plan);
+        })
+        .unwrap()
+        .describe();
     assert!(!text.contains("(vectorised)"), "{text}");
 }
 

@@ -1030,10 +1030,7 @@ mod tests {
     fn explain_marks_vectorised_stages() {
         // The columnar planner's per-stage decision surfaces in EXPLAIN:
         // a kernel-eligible filter is marked, so users can see which
-        // stages run vectorised (default-on; MAYBMS_COLUMNAR=0 disables).
-        if !maybms_pipe::columnar_default() {
-            return;
-        }
+        // stages run vectorised.
         let mut db = db_with_games();
         let StatementResult::Ok { message } =
             db.run("explain select player from games where pts > 30").unwrap()

@@ -99,12 +99,7 @@ fn collect_traced(
         ps
     });
     let pool = maybms_par::pool();
-    Ok(stream.collect_stats(
-        &pool,
-        maybms_engine::ops::PAR_MIN_CHUNK,
-        maybms_pipe::columnar_default(),
-        pipe_stats.as_deref(),
-    )?)
+    Ok(stream.collect_stats(&pool, maybms_engine::ops::PAR_MIN_CHUNK, pipe_stats.as_deref())?)
 }
 
 /// The result of a query: a t-certain table or an uncertain one.

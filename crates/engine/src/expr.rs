@@ -411,7 +411,7 @@ impl Expr {
     /// (non-boolean operands), comparisons (incomparable types), casts,
     /// negation — counts as fallible.
     ///
-    /// Used by the optimizer's projection-merge guard and by the
+    /// Used by [`fold`]'s short-circuit guard and by the
     /// bind-time `Filter(false)` shortcut: an infallible stage can be
     /// dropped without swallowing a runtime error.
     pub fn infallible(&self) -> bool {
@@ -495,6 +495,145 @@ impl Expr {
                     e.referenced_columns(out);
                 }
             }
+        }
+    }
+}
+
+/// Constant folding. Folds only subexpressions whose evaluation cannot
+/// fail (so `1/0` stays a runtime error at the original position).
+pub fn fold(e: Expr) -> Expr {
+    let empty = Tuple::new(Vec::new());
+    match e {
+        Expr::Binary { left, op, right } => {
+            let left = fold(*left);
+            let right = fold(*right);
+            // Boolean short-circuits with one constant side. Guarded
+            // like every fold: an operand the scalar evaluator *always*
+            // runs (the left side; the right side once the left didn't
+            // decide) may only fold away when it can neither raise —
+            // `(1/0 = 1) AND false` must stay a runtime error — nor
+            // change the outcome's boolean type check (`3 AND false`
+            // errors; plain `false` would not). `is_boolish` is the
+            // type half of that guard; [`Expr::infallible`] the other.
+            match (op, &left, &right) {
+                // Scalar short-circuit: the right side never runs.
+                (BinaryOp::And, Expr::Literal(Value::Bool(false)), _) => {
+                    return Expr::Literal(Value::Bool(false));
+                }
+                (BinaryOp::Or, Expr::Literal(Value::Bool(true)), _) => {
+                    return Expr::Literal(Value::Bool(true));
+                }
+                // The always-evaluated side folds away entirely.
+                (BinaryOp::And, other, Expr::Literal(Value::Bool(false)))
+                    if other.infallible() && is_boolish(other) =>
+                {
+                    return Expr::Literal(Value::Bool(false));
+                }
+                (BinaryOp::Or, other, Expr::Literal(Value::Bool(true)))
+                    if other.infallible() && is_boolish(other) =>
+                {
+                    return Expr::Literal(Value::Bool(true));
+                }
+                // The surviving side keeps evaluating (errors intact);
+                // it just must already be boolean-valued.
+                (BinaryOp::And, Expr::Literal(Value::Bool(true)), other)
+                | (BinaryOp::And, other, Expr::Literal(Value::Bool(true)))
+                    if is_boolish(other) =>
+                {
+                    return other.clone();
+                }
+                (BinaryOp::Or, Expr::Literal(Value::Bool(false)), other)
+                | (BinaryOp::Or, other, Expr::Literal(Value::Bool(false)))
+                    if is_boolish(other) =>
+                {
+                    return other.clone();
+                }
+                _ => {}
+            }
+            let folded = Expr::Binary {
+                left: Box::new(left),
+                op,
+                right: Box::new(right),
+            };
+            try_eval_const(folded, &empty)
+        }
+        Expr::Unary { op, expr } => {
+            let inner = fold(*expr);
+            match (op, &inner) {
+                (UnaryOp::Not, Expr::Literal(Value::Bool(b))) => {
+                    Expr::Literal(Value::Bool(!b))
+                }
+                _ => try_eval_const(Expr::Unary { op, expr: Box::new(inner) }, &empty),
+            }
+        }
+        Expr::IsNull { expr, negated } => {
+            let inner = fold(*expr);
+            if let Expr::Literal(v) = &inner {
+                return Expr::Literal(Value::Bool(v.is_null() != negated));
+            }
+            Expr::IsNull { expr: Box::new(inner), negated }
+        }
+        Expr::InList { expr, list, negated } => Expr::InList {
+            expr: Box::new(fold(*expr)),
+            list: list.into_iter().map(fold).collect(),
+            negated,
+        },
+        Expr::Case { branches, else_expr } => Expr::Case {
+            branches: branches
+                .into_iter()
+                .map(|(c, r)| (fold(c), fold(r)))
+                .collect(),
+            else_expr: else_expr.map(|x| Box::new(fold(*x))),
+        },
+        Expr::Cast { expr, dtype } => {
+            try_eval_const(Expr::Cast { expr: Box::new(fold(*expr)), dtype }, &empty)
+        }
+        other => other,
+    }
+}
+
+/// Structurally guaranteed to evaluate to boolean or NULL whenever it
+/// evaluates at all — so `AND`/`OR` may absorb it (or hand the result
+/// to it) without dropping the type check `eval_logical` performs on
+/// every operand it sees.
+fn is_boolish(e: &Expr) -> bool {
+    match e {
+        Expr::Literal(Value::Bool(_)) | Expr::Literal(Value::Null) => true,
+        Expr::IsNull { .. } | Expr::InList { .. } => true,
+        Expr::Unary { op: UnaryOp::Not, .. } => true,
+        Expr::Binary { op, .. } => {
+            op.is_comparison() || matches!(op, BinaryOp::And | BinaryOp::Or)
+        }
+        _ => false,
+    }
+}
+
+/// If the expression is literal-only, try evaluating it; keep the original
+/// on error (runtime errors must surface at execution, not planning).
+fn try_eval_const(e: Expr, empty: &Tuple) -> Expr {
+    if !is_literal_only(&e) {
+        return e;
+    }
+    match e.eval(empty) {
+        Ok(v) => Expr::Literal(v),
+        Err(_) => e,
+    }
+}
+
+fn is_literal_only(e: &Expr) -> bool {
+    match e {
+        Expr::Literal(_) => true,
+        Expr::Column { .. } | Expr::ColumnIdx(_) => false,
+        Expr::Binary { left, right, .. } => is_literal_only(left) && is_literal_only(right),
+        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
+            is_literal_only(expr)
+        }
+        Expr::InList { expr, list, .. } => {
+            is_literal_only(expr) && list.iter().all(is_literal_only)
+        }
+        Expr::Case { branches, else_expr } => {
+            branches.iter().all(|(c, r)| is_literal_only(c) && is_literal_only(r))
+                && else_expr.as_ref().is_none_or(|x| is_literal_only(x))
         }
     }
 }
@@ -924,5 +1063,89 @@ mod tests {
     fn display_roundtrips_visually() {
         let e = Expr::qcol("r1", "player").eq(Expr::lit("Bryant"));
         assert_eq!(e.to_string(), "(r1.player = 'Bryant')");
+    }
+
+    #[test]
+    fn fold_arithmetic_and_booleans() {
+        let e = Expr::lit(2i64).binary(BinaryOp::Add, Expr::lit(3i64));
+        assert_eq!(fold(e), Expr::Literal(Value::Int(5)));
+        let e = Expr::lit(true).and(Expr::col("x").eq(Expr::lit(1i64)));
+        assert_eq!(fold(e).to_string(), "(x = 1)");
+        let e = Expr::lit(false).and(Expr::col("x").eq(Expr::lit(1i64)));
+        assert_eq!(fold(e), Expr::Literal(Value::Bool(false)));
+        // A bare column is not provably boolean: `false OR y` would
+        // type-error on a non-boolean y, so it must not fold to `y`.
+        let e = Expr::lit(false).or(Expr::col("y"));
+        assert_eq!(fold(e).to_string(), "(false OR y)");
+        let e = Expr::lit(false).or(Expr::col("y").eq(Expr::lit(1i64)));
+        assert_eq!(fold(e).to_string(), "(y = 1)");
+    }
+
+    #[test]
+    fn fold_keeps_fallible_always_evaluated_operands() {
+        // `(1/0 = 1) AND false`: the scalar evaluator always runs the
+        // left side first, so the division error must survive folding.
+        let boom = Expr::lit(1i64).binary(BinaryOp::Div, Expr::lit(0i64)).eq(Expr::lit(1i64));
+        let e = boom.clone().and(Expr::lit(false));
+        assert_eq!(fold(e.clone()), e, "fallible left of AND-false stays");
+        let e = boom.clone().or(Expr::lit(true));
+        assert_eq!(fold(e.clone()), e, "fallible left of OR-true stays");
+        // The mirrored positions short-circuit in the scalar evaluator,
+        // so there the fold *is* allowed.
+        let e = Expr::lit(false).and(boom.clone());
+        assert_eq!(fold(e), Expr::Literal(Value::Bool(false)));
+        let e = Expr::lit(true).or(boom.clone());
+        assert_eq!(fold(e), Expr::Literal(Value::Bool(true)));
+        // `X AND true -> X` keeps X evaluated, so fallible X is fine…
+        let e = boom.clone().and(Expr::lit(true));
+        assert_eq!(fold(e), boom);
+        // …but a non-boolean X must keep the AND (type check preserved).
+        let e = Expr::lit(3i64).and(Expr::lit(true));
+        assert_eq!(fold(e).to_string(), "(3 AND true)");
+    }
+
+    #[test]
+    fn fold_keeps_failing_constants_unfolded() {
+        let e = Expr::lit(1i64).binary(BinaryOp::Div, Expr::lit(0i64));
+        let folded = fold(e.clone());
+        assert_eq!(folded, e); // division by zero stays a runtime error
+    }
+
+    #[test]
+    fn fold_is_null_on_literals() {
+        let e = Expr::IsNull { expr: Box::new(Expr::lit(Value::Null)), negated: false };
+        assert_eq!(fold(e), Expr::Literal(Value::Bool(true)));
+    }
+
+    fn arb_predicate() -> impl proptest::strategy::Strategy<Value = Expr> {
+        use proptest::prelude::*;
+        let leaf = prop_oneof![
+            (-20i64..20).prop_map(|n| Expr::col("k").binary(BinaryOp::Gt, Expr::lit(n))),
+            (-20i64..20).prop_map(|n| Expr::col("v").binary(BinaryOp::LtEq, Expr::lit(n))),
+            Just(Expr::lit(true)),
+            Just(Expr::lit(false)),
+            (-20i64..20).prop_map(|n| Expr::lit(n).eq(Expr::lit(n))), // foldable
+        ];
+        leaf.prop_recursive(2, 8, 2, |inner| {
+            prop_oneof![
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| a.and(b)),
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| a.or(b)),
+                inner.clone().prop_map(|a| a.not()),
+            ]
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// Folding preserves evaluation on literal-only expressions.
+        #[test]
+        fn fold_preserves_value(pred in arb_predicate()) {
+            let schema = Schema::from_pairs(&[("k", DataType::Int), ("v", DataType::Int)]);
+            let row = Tuple::new(vec![1.into(), 2.into()]);
+            let original = pred.bind(&schema).unwrap().eval(&row).unwrap();
+            let folded = fold(pred).bind(&schema).unwrap().eval(&row).unwrap();
+            proptest::prop_assert_eq!(original, folded);
+        }
     }
 }

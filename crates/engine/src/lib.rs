@@ -10,18 +10,19 @@
 //!   order and hash (join/group keys), NaN-free floats;
 //! * [`schema`] — named, typed, qualifier-aware columns;
 //! * [`mod@tuple`] — rows and materialised bag [`tuple::Relation`]s;
-//! * [`expr`] — scalar expressions with SQL three-valued logic;
+//! * [`expr`] — scalar expressions with SQL three-valued logic, plus
+//!   bind-time constant folding ([`expr::fold`]);
 //! * [`column`] — column-major morsels: typed column vectors with null
 //!   bitmaps (MonetDB/X100-style);
 //! * [`vector`] — vectorised expression kernels over [`column`] batches,
 //!   bit-identical to the scalar evaluator (scalar fallback on any
 //!   divergence);
-//! * [`ops`] — physical operators: σ, π, ⨯, ⋈ (nested-loop and hash),
-//!   ∪, distinct, sort, limit, grouped aggregation;
-//! * [`plan`] — a composable physical plan tree;
-//! * [`optimizer`] — algebraic rewrites: constant folding, filter
-//!   merging/pushdown, trivial-plan elimination;
-//! * [`catalog`] — in-memory named tables.
+//! * [`ops`] — materialising physical operators: σ, π, ⨯, ⋈ (nested-loop
+//!   and hash), ∪, distinct, sort, limit, grouped aggregation.
+//!
+//! Planning lives above this crate: `maybms-core` plans every SQL
+//! statement and runs its σ/π/⋈ chains through `maybms-pipe`'s fused
+//! `UStream` pipelines, which evaluate with [`expr`] and [`vector`].
 //!
 //! Everything is deterministic, matching the execution model the paper's
 //! rewrites target: large batches run chunk-parallel on the vendored
@@ -32,60 +33,50 @@
 //!
 //! ```
 //! use maybms_engine::prelude::*;
+//! use maybms_engine::ops;
 //!
-//! let mut catalog = Catalog::new();
-//! catalog
-//!     .create(
-//!         "ft",
-//!         rel(
-//!             &[("player", DataType::Text), ("p", DataType::Float)],
-//!             vec![
-//!                 vec!["Bryant".into(), Value::Float(0.8)],
-//!                 vec!["Duncan".into(), Value::Float(0.6)],
-//!             ],
-//!         ),
-//!     )
-//!     .unwrap();
-//! let plan = PhysicalPlan::Filter {
-//!     input: Box::new(PhysicalPlan::Scan { table: "ft".into(), alias: None }),
-//!     predicate: Expr::col("p").binary(BinaryOp::Gt, Expr::lit(Value::Float(0.7))),
-//! };
-//! let out = plan.execute(&catalog).unwrap();
-//! assert_eq!(out.len(), 1);
+//! let ft = rel(
+//!     &[("player", DataType::Text), ("p", DataType::Float)],
+//!     vec![
+//!         vec!["Bryant".into(), Value::Float(0.8)],
+//!         vec!["Duncan".into(), Value::Float(0.6)],
+//!     ],
+//! );
+//! let likely = ops::filter(
+//!     &ft,
+//!     &Expr::col("p").binary(BinaryOp::Gt, Expr::lit(Value::Float(0.7))),
+//! )
+//! .unwrap();
+//! let names = ops::project(&likely, &[ProjectItem::col("player")]).unwrap();
+//! assert_eq!(names.len(), 1);
+//! assert_eq!(names.tuples()[0].value(0), &Value::str("Bryant"));
 //! ```
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod catalog;
 pub mod column;
 pub mod error;
 pub mod expr;
 pub mod hash;
 pub mod ops;
-pub mod optimizer;
-pub mod plan;
 pub mod schema;
 pub mod tuple;
 pub mod types;
 pub mod vector;
 
-pub use catalog::Catalog;
 pub use column::{Column, ColumnBatch, ColumnBuilder, ColumnData, NullMask, StrDict};
 pub use error::{EngineError, Result};
 pub use expr::{BinaryOp, Expr, UnaryOp};
-pub use plan::PhysicalPlan;
 pub use schema::{Field, Schema};
 pub use tuple::{rel, Relation, Tuple};
 pub use types::{DataType, Value};
 
 /// Glob-import convenience: `use maybms_engine::prelude::*;`.
 pub mod prelude {
-    pub use crate::catalog::Catalog;
     pub use crate::error::{EngineError, Result};
     pub use crate::expr::{BinaryOp, Expr, UnaryOp};
     pub use crate::ops::{AggCall, AggFunc, ProjectItem, SortKey};
-    pub use crate::plan::PhysicalPlan;
     pub use crate::schema::{Field, Schema};
     pub use crate::tuple::{rel, Relation, Tuple};
     pub use crate::types::{DataType, Value};

@@ -408,12 +408,12 @@ fn type_err(func: AggFunc, v: &Value) -> EngineError {
 }
 
 // ---------------------------------------------------------------------
-// Shared binding / schema / fold helpers (also used by maybms-pipe)
+// Binding / schema / fold helpers
 // ---------------------------------------------------------------------
 
 /// Bind the aggregate calls' argument expressions against `schema`,
 /// validating that every function except `count` has an argument.
-pub fn bind_agg_calls(
+fn bind_agg_calls(
     schema: &Schema,
     aggs: &[AggCall],
 ) -> Result<Vec<(AggFunc, Option<Expr>)>> {
@@ -463,12 +463,12 @@ pub fn aggregate_schema(
 }
 
 /// Fresh states, one per bound aggregate call.
-pub fn new_agg_states(bound: &[(AggFunc, Option<Expr>)]) -> Vec<AggState> {
+fn new_agg_states(bound: &[(AggFunc, Option<Expr>)]) -> Vec<AggState> {
     bound.iter().map(|(f, _)| AggState::new(*f)).collect()
 }
 
 /// Fold one row into a group's states (`states` parallel to `bound`).
-pub fn fold_agg_row(
+fn fold_agg_row(
     states: &mut [AggState],
     bound: &[(AggFunc, Option<Expr>)],
     row: &[Value],
@@ -483,7 +483,7 @@ pub fn fold_agg_row(
 }
 
 /// Merge a later group's states into an earlier one, slot by slot.
-pub fn merge_agg_states(into: &mut [AggState], from: Vec<AggState>) -> Result<()> {
+fn merge_agg_states(into: &mut [AggState], from: Vec<AggState>) -> Result<()> {
     for (a, b) in into.iter_mut().zip(from) {
         a.merge(b)?;
     }
@@ -686,7 +686,7 @@ pub fn aggregate(
 /// [`aggregate`] on an explicit pool and chunk size: each chunk folds a
 /// private group table, tables merge in chunk order ([`AggState::merge`]),
 /// output identical to the sequential fold at any thread count.
-pub fn aggregate_with(
+fn aggregate_with(
     input: &Relation,
     group_exprs: &[Expr],
     group_names: &[String],

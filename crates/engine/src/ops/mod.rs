@@ -1,11 +1,10 @@
 //! Physical relational operators over materialised [`Relation`]s.
 //!
-//! Operators come in two layers:
-//! * free functions (this module's submodules) that transform relations
-//!   directly — these are what `maybms-urel` composes its parsimonious
-//!   translation from;
-//! * a composable [`crate::plan::PhysicalPlan`] tree for standalone engine
-//!   use.
+//! Each operator is a free function that transforms whole relations —
+//! what `maybms-urel` composes its parsimonious translation from, and
+//! what the SQL path uses for its breakers (distinct, sort, limit,
+//! union). Fused σ/π/⋈ pipelines run in `maybms-pipe` instead; these
+//! operators are their materialising reference.
 //!
 //! # Parallel execution
 //!
@@ -36,9 +35,8 @@ pub const PAR_MIN_ROWS: usize = 8192;
 pub const PAR_MIN_CHUNK: usize = 4096;
 
 pub use aggregate::{
-    aggregate, aggregate_schema, aggregate_with, bind_agg_calls, fold_agg_row,
-    group_indices, group_indices_with, merge_agg_states, new_agg_states, AggCall, AggFunc,
-    AggState, ExactSum,
+    aggregate, aggregate_schema, group_indices, group_indices_with, AggCall, AggFunc, AggState,
+    ExactSum,
 };
 pub use filter::{filter, filter_with};
 pub use join::{

@@ -1,13 +1,10 @@
-//! The shared fused-execution core: one morsel-driven stage walker
-//! serving both front ends.
+//! The fused-execution core: the morsel-driven stage walker behind
+//! [`UStream`](crate::UStream).
 //!
-//! The certain ([`plan`](crate::plan)) and U-relational
-//! ([`ustream`](crate::ustream)) executors run the *same* machine — a
-//! source of rows pushed through Filter/Project/Probe stages morsel by
-//! morsel — differing only in the **payload** that rides along with
-//! each row: nothing for certain relations, a [`Wsd`] for U-relations
-//! (conjoined at probe stages, with unsatisfiable conjunctions dropping
-//! the row). [`RowSource`] abstracts exactly that difference, so the
+//! A source U-relation's rows are pushed through Filter/Project/Probe
+//! stages morsel by morsel, each row carrying its [`Wsd`] (conjoined at
+//! probe stages, with unsatisfiable conjunctions dropping the row). A
+//! certain relation is the special case of tautological WSDs, so the
 //! selection-vector fast path, the scratch-buffer recursion, and the
 //! morsel-ordered merge exist once.
 //!
@@ -26,7 +23,7 @@
 
 use maybms_engine::column::ColumnBatch;
 use maybms_engine::error::{EngineError, Result};
-use maybms_engine::tuple::{Relation, Tuple, TupleBatch};
+use maybms_engine::tuple::{Tuple, TupleBatch};
 use maybms_engine::{ops, vector, Expr, Value};
 use maybms_par::ThreadPool;
 use maybms_urel::{URelation, Wsd};
@@ -34,94 +31,40 @@ use maybms_urel::{URelation, Wsd};
 use crate::build::BuildTable;
 use crate::row_key_hash;
 
-/// A bag of rows, each a value slice plus a cheap-to-clone payload.
-pub(crate) trait RowSource: Sync {
-    /// What rides along with each row (conditions, or nothing).
-    type Payload: Clone + Send;
-    /// Number of rows.
-    fn len(&self) -> usize;
-    /// Row `i`'s values and payload.
-    fn row(&self, i: usize) -> (&[Value], &Self::Payload);
-    /// Row `i`'s payload alone — unlike [`RowSource::row`], never forces
-    /// a columnar-at-rest source to materialise its row view.
-    fn payload(&self, i: usize) -> &Self::Payload {
-        self.row(i).1
-    }
-    /// The at-rest column batch, when the source stores its rows
-    /// column-major. Kernel-eligible prefixes slice it directly instead
-    /// of pivoting each morsel (the zero-pivot scan path).
-    fn at_rest(&self) -> Option<&ColumnBatch> {
-        None
-    }
-    /// Combine the payloads of a probe row and a build row; `None`
-    /// drops the joined row.
-    fn conjoin(a: &Self::Payload, b: &Self::Payload) -> Option<Self::Payload>;
+/// Row `i`'s values and WSD.
+fn row_at(source: &URelation, i: usize) -> (&[Value], &Wsd) {
+    let t = &source.tuples()[i];
+    (t.data.values(), &t.wsd)
 }
 
-impl RowSource for Relation {
-    type Payload = ();
-
-    fn len(&self) -> usize {
-        Relation::len(self)
-    }
-
-    fn row(&self, i: usize) -> (&[Value], &()) {
-        (self.tuples()[i].values(), &())
-    }
-
-    fn payload(&self, _i: usize) -> &() {
-        &()
-    }
-
-    fn at_rest(&self) -> Option<&ColumnBatch> {
-        Relation::at_rest(self)
-    }
-
-    fn conjoin(_: &(), _: &()) -> Option<()> {
-        Some(())
+/// Row `i`'s WSD alone — unlike [`row_at`], never forces a
+/// columnar-at-rest source to materialise its row view.
+pub(crate) fn wsd_at(source: &URelation, i: usize) -> &Wsd {
+    match source.at_rest() {
+        Some((_, wsds)) => &wsds[i],
+        None => &source.tuples()[i].wsd,
     }
 }
 
-impl RowSource for URelation {
-    type Payload = Wsd;
-
-    fn len(&self) -> usize {
-        URelation::len(self)
-    }
-
-    fn row(&self, i: usize) -> (&[Value], &Wsd) {
-        let t = &self.tuples()[i];
-        (t.data.values(), &t.wsd)
-    }
-
-    fn payload(&self, i: usize) -> &Wsd {
-        match URelation::at_rest(self) {
-            Some((_, wsds)) => &wsds[i],
-            None => &self.tuples()[i].wsd,
-        }
-    }
-
-    fn at_rest(&self) -> Option<&ColumnBatch> {
-        URelation::at_rest(self).map(|(batch, _)| batch)
-    }
-
-    fn conjoin(a: &Wsd, b: &Wsd) -> Option<Wsd> {
-        a.conjoin(b)
-    }
+/// The at-rest column batch, when the source stores its rows
+/// column-major. Kernel-eligible prefixes slice it directly instead of
+/// pivoting each morsel (the zero-pivot scan path).
+pub(crate) fn at_rest_batch(source: &URelation) -> Option<&ColumnBatch> {
+    source.at_rest().map(|(batch, _)| batch)
 }
 
-/// One bound, ready-to-run stage. The build side of a probe has the
-/// same row type as the stream (its table is built at run time).
-pub(crate) enum Stage<S: RowSource> {
+/// One bound, ready-to-run stage. The build side of a probe is a
+/// U-relation like the stream (its table is built at run time).
+pub(crate) enum Stage {
     /// σ — expressions bound to the incoming row shape.
     Filter(Expr),
     /// π — one bound expression per output column.
     Project(Vec<Expr>),
     /// Hash-join probe: `stream row ++ build row` per verified
-    /// candidate, payloads conjoined.
+    /// candidate, WSDs conjoined.
     Probe {
         /// The materialised build side.
-        build: S,
+        build: URelation,
         /// Key columns in the incoming row.
         left_keys: Vec<usize>,
         /// Key columns in the build rows.
@@ -133,7 +76,7 @@ pub(crate) enum Stage<S: RowSource> {
 /// expressions (hash, verify, conjoin), so only σ/π expressions count.
 /// This is the guard for the bind-time `σ_false → empty` shortcut: an
 /// all-infallible chain can be skipped without swallowing an error.
-pub(crate) fn stages_infallible<S: RowSource>(stages: &[Stage<S>]) -> bool {
+pub(crate) fn stages_infallible(stages: &[Stage]) -> bool {
     stages.iter().all(|s| match s {
         Stage::Filter(p) => p.infallible(),
         Stage::Project(es) => es.iter().all(Expr::infallible),
@@ -146,7 +89,7 @@ pub(crate) fn stages_infallible<S: RowSource>(stages: &[Stage<S>]) -> bool {
 /// the first probe (probes — and the U-relational WSD bookkeeping that
 /// rides on them — stay row-wise; the batch pivots back to shared-row
 /// tuples there). This is the per-stage decision `EXPLAIN` reports.
-pub(crate) fn vector_prefix_len<S: RowSource>(stages: &[Stage<S>]) -> usize {
+pub(crate) fn vector_prefix_len(stages: &[Stage]) -> usize {
     stages
         .iter()
         .take_while(|s| match s {
@@ -176,7 +119,7 @@ pub(crate) struct VecPrefix {
 }
 
 /// Plan the columnar prefix, or `None` when nothing vectorises.
-pub(crate) fn plan_vec<S: RowSource>(stages: &[Stage<S>], columnar: bool) -> Option<VecPrefix> {
+pub(crate) fn plan_vec(stages: &[Stage], columnar: bool) -> Option<VecPrefix> {
     if !columnar {
         return None;
     }
@@ -233,7 +176,7 @@ pub(crate) type StageTally = [(u64, u64)];
 
 /// Run the columnar prefix over one morsel. Returns the surviving rows'
 /// batch (when the prefix projected), their source indices (for
-/// payloads, and for the row values when it did not), and the morsel's
+/// WSDs, and for the row values when it did not), and the morsel's
 /// pending error.
 ///
 /// Error discipline (replicating the row-major scalar order): whenever a
@@ -244,9 +187,9 @@ pub(crate) type StageTally = [(u64, u64)];
 /// have hit first. Rows that survive every stage ahead of the error row
 /// still reach the sink, exactly as the scalar walk pushed them before
 /// erroring (the sink is discarded on error either way).
-pub(crate) fn run_vec<S: RowSource>(
+pub(crate) fn run_vec(
     pre: &VecPrefix,
-    source: &S,
+    source: &URelation,
     range: std::ops::Range<usize>,
     tally: &mut StageTally,
 ) -> (Option<ColumnBatch>, Vec<u32>, Option<EngineError>) {
@@ -254,11 +197,11 @@ pub(crate) fn run_vec<S: RowSource>(
     // Columnar-at-rest sources hand the prefix typed column slices
     // straight from storage — no pivot, no row materialisation. Row
     // stores pivot this one morsel (counted by the pivot metrics).
-    let mut batch = match source.at_rest() {
+    let mut batch = match at_rest_batch(source) {
         Some(rest) => rest.slice_cols(range.start, range.len(), &pre.pivot_cols),
         None => ColumnBatch::pivot(
             range.len(),
-            range.clone().map(|i| source.row(i).0),
+            range.clone().map(|i| row_at(source, i).0),
             &pre.pivot_cols,
         ),
     };
@@ -306,42 +249,42 @@ pub(crate) fn run_vec<S: RowSource>(
 /// order, so a sink never needs to be thread-safe itself.
 ///
 /// The error type is associated (rather than fixed to [`EngineError`])
-/// so U-relational sinks can fail with `maybms-urel` errors — stage
-/// evaluation errors convert in via `From`.
-pub(crate) trait MorselSink<P> {
+/// so sinks can fail with `maybms-urel` errors — stage evaluation errors
+/// convert in via `From`.
+pub(crate) trait MorselSink {
     /// The error the sink's consumer works in.
     type Err: From<EngineError> + Send;
-    /// Consume one surviving row and its payload.
-    fn push(&mut self, row: &[Value], payload: &P) -> std::result::Result<(), Self::Err>;
+    /// Consume one surviving row and its WSD.
+    fn push(&mut self, row: &[Value], wsd: &Wsd) -> std::result::Result<(), Self::Err>;
 }
 
 /// The materialising sink: rows into a morsel-local [`TupleBatch`],
-/// payloads alongside.
-pub(crate) struct RowsSink<P> {
+/// WSDs alongside.
+pub(crate) struct RowsSink {
     pub(crate) batch: TupleBatch,
-    pub(crate) payloads: Vec<P>,
+    pub(crate) wsds: Vec<Wsd>,
 }
 
-impl<P: Clone + Send> MorselSink<P> for RowsSink<P> {
+impl MorselSink for RowsSink {
     type Err = EngineError;
 
-    fn push(&mut self, row: &[Value], payload: &P) -> Result<()> {
+    fn push(&mut self, row: &[Value], wsd: &Wsd) -> Result<()> {
         self.batch.begin_row();
         for v in row {
             self.batch.push_value(v.clone());
         }
-        self.payloads.push(payload.clone());
+        self.wsds.push(wsd.clone());
         Ok(())
     }
 }
 
 /// What a fused pipeline produced.
-pub(crate) enum FusedOutput<P> {
+pub(crate) enum FusedOutput {
     /// All-filter pipeline: the surviving source indices, in order —
     /// gather them to share row storage with the source.
     Select(Vec<usize>),
-    /// Constructed rows and their payloads, in order.
-    Rows(Vec<Tuple>, Vec<P>),
+    /// Constructed rows and their WSDs, in order.
+    Rows(Vec<Tuple>, Vec<Wsd>),
 }
 
 /// Run `stages` over every row of `source`, morsel-parallel on `pool`,
@@ -354,9 +297,9 @@ pub(crate) enum FusedOutput<P> {
 /// runs vectorised per morsel (pivot → typed kernels → gather), pivoting
 /// back to rows for the remaining stages and the sink — output and
 /// errors bit-identical to the row walk.
-pub(crate) fn run_sink<S, Sk, MK>(
-    source: &S,
-    stages: &[Stage<S>],
+pub(crate) fn run_sink<Sk, MK>(
+    source: &URelation,
+    stages: &[Stage],
     pool: &ThreadPool,
     min_morsel: usize,
     columnar: bool,
@@ -364,8 +307,7 @@ pub(crate) fn run_sink<S, Sk, MK>(
     make_sink: MK,
 ) -> std::result::Result<Vec<Sk>, Sk::Err>
 where
-    S: RowSource,
-    Sk: MorselSink<S::Payload> + Send,
+    Sk: MorselSink + Send,
     MK: Fn() -> Sk + Sync,
 {
     let metrics = maybms_obs::metrics();
@@ -419,17 +361,17 @@ where
                 let (batch, src, pending) = run_vec(pre, source, range, prefix_tally);
                 let mut rowbuf: Vec<Value> = Vec::new();
                 for (j, &si) in src.iter().enumerate() {
-                    let payload = source.payload(si as usize);
-                    let row: &[Value] = match &batch {
+                    let wsd = wsd_at(source, si as usize);
+                    let values: &[Value] = match &batch {
                         Some(b) => {
                             b.write_row(j, &mut rowbuf);
                             &rowbuf
                         }
-                        None => source.row(si as usize).0,
+                        None => row_at(source, si as usize).0,
                     };
-                    push_row::<S, Sk>(
-                        row,
-                        payload,
+                    push_row(
+                        values,
+                        wsd,
                         rest,
                         rest_tables,
                         0,
@@ -447,10 +389,10 @@ where
             } else {
                 let mut scratch: Vec<Vec<Value>> = vec![Vec::new(); stages.len()];
                 for i in range {
-                    let (row, payload) = source.row(i);
-                    push_row::<S, Sk>(
-                        row,
-                        payload,
+                    let (values, wsd) = row_at(source, i);
+                    push_row(
+                        values,
+                        wsd,
                         stages,
                         &tables,
                         0,
@@ -480,13 +422,13 @@ where
 /// hashes by code lookup — no build-row materialisation. The hash values
 /// are exactly [`row_key_hash`]'s, so probe-side hashing, candidate
 /// verification, and NULL-key handling are unchanged.
-fn build_table<S: RowSource>(
-    build: &S,
+fn build_table(
+    build: &URelation,
     right_keys: &[usize],
     pool: &ThreadPool,
     min_morsel: usize,
 ) -> BuildTable {
-    if let ([k], Some(rest)) = (right_keys, build.at_rest()) {
+    if let ([k], Some(rest)) = (right_keys, at_rest_batch(build)) {
         let col = rest.column(*k);
         if let maybms_engine::ColumnData::Dict { codes, dict } = col.data() {
             let entry_hashes = dict.cached_hashes(|entries| {
@@ -514,7 +456,7 @@ fn build_table<S: RowSource>(
     }
     BuildTable::build(
         build.len(),
-        |i| row_key_hash(build.row(i).0, right_keys),
+        |i| row_key_hash(row_at(build, i).0, right_keys),
         pool,
         min_morsel,
     )
@@ -524,14 +466,14 @@ fn build_table<S: RowSource>(
 /// materialising the surviving rows. Morsel outputs merge in morsel
 /// order; the output (and error row, if any) is identical to a
 /// sequential scan at any thread count — with or without `columnar`.
-pub(crate) fn run<S: RowSource>(
-    source: &S,
-    stages: &[Stage<S>],
+pub(crate) fn run(
+    source: &URelation,
+    stages: &[Stage],
     pool: &ThreadPool,
     min_morsel: usize,
     columnar: bool,
     stats: Option<&maybms_obs::PipelineStats>,
-) -> Result<FusedOutput<S::Payload>> {
+) -> Result<FusedOutput> {
     // All-filter pipelines stay a selection vector end to end (columnar
     // predicates produce the selection directly; no project means no
     // batch survives — the output shares the source's row storage).
@@ -561,11 +503,11 @@ pub(crate) fn run<S: RowSource>(
                     let mut gov = maybms_gov::Ticker::new();
                     'row: for &si in &src {
                         gov.tick().map_err(EngineError::Gov)?;
-                        let (row, _) = source.row(si as usize);
+                        let (values, _) = row_at(source, si as usize);
                         for (k, s) in stages[start..].iter().enumerate() {
                             let Stage::Filter(p) = s else { unreachable!() };
                             tally[start + k].0 += 1;
-                            if !p.eval_predicate_values(row)? {
+                            if !p.eval_predicate_values(values)? {
                                 continue 'row;
                             }
                             tally[start + k].1 += 1;
@@ -596,15 +538,15 @@ pub(crate) fn run<S: RowSource>(
     // into a morsel-local batch.
     let sinks = run_sink(source, stages, pool, min_morsel, columnar, stats, || RowsSink {
         batch: TupleBatch::new(),
-        payloads: Vec::new(),
+        wsds: Vec::new(),
     })?;
     let mut tuples = Vec::new();
-    let mut payloads = Vec::new();
+    let mut wsds = Vec::new();
     for sink in sinks {
         tuples.extend(sink.batch.finish());
-        payloads.extend(sink.payloads);
+        wsds.extend(sink.wsds);
     }
-    Ok(FusedOutput::Rows(tuples, payloads))
+    Ok(FusedOutput::Rows(tuples, wsds))
 }
 
 /// Push one in-flight row through `stages[depth..]`. `scratch[depth]`
@@ -612,10 +554,10 @@ pub(crate) fn run<S: RowSource>(
 /// taken out around the recursion and always restored, so the morsel
 /// allocates nothing after warmup even across evaluation errors.
 #[allow(clippy::too_many_arguments)]
-fn push_row<S: RowSource, Sk: MorselSink<S::Payload>>(
+fn push_row<Sk: MorselSink>(
     row: &[Value],
-    payload: &S::Payload,
-    stages: &[Stage<S>],
+    wsd: &Wsd,
+    stages: &[Stage],
     tables: &[Option<BuildTable>],
     depth: usize,
     scratch: &mut [Vec<Value>],
@@ -630,16 +572,16 @@ fn push_row<S: RowSource, Sk: MorselSink<S::Payload>>(
         // single morsel), so a runaway join would be uncancellable and
         // blow straight through a memory budget.
         gov.tick().map_err(|g| Sk::Err::from(EngineError::Gov(g)))?;
-        return sink.push(row, payload);
+        return sink.push(row, wsd);
     };
     tally[depth].0 += 1;
     match stage {
         Stage::Filter(p) => {
             if p.eval_predicate_values(row).map_err(Sk::Err::from)? {
                 tally[depth].1 += 1;
-                push_row::<S, Sk>(
+                push_row(
                     row,
-                    payload,
+                    wsd,
                     stages,
                     tables,
                     depth + 1,
@@ -666,9 +608,9 @@ fn push_row<S: RowSource, Sk: MorselSink<S::Payload>>(
             }
             if result.is_ok() {
                 tally[depth].1 += 1;
-                result = push_row::<S, Sk>(
+                result = push_row(
                     &vals,
-                    payload,
+                    wsd,
                     stages,
                     tables,
                     depth + 1,
@@ -687,16 +629,16 @@ fn push_row<S: RowSource, Sk: MorselSink<S::Payload>>(
             let mut vals = std::mem::take(&mut scratch[depth]);
             let mut result = Ok(());
             for &ri in table.candidates(h) {
-                let (brow, bpayload) = build.row(ri as usize);
+                let (brow, bwsd) = row_at(build, ri as usize);
                 if !ops::join_keys_eq(row, left_keys, brow, right_keys) {
                     continue; // hash collision
                 }
-                let Some(joined) = S::conjoin(payload, bpayload) else { continue };
+                let Some(joined) = wsd.conjoin(bwsd) else { continue };
                 vals.clear();
                 vals.extend_from_slice(row);
                 vals.extend_from_slice(brow);
                 tally[depth].1 += 1;
-                if let Err(e) = push_row::<S, Sk>(
+                if let Err(e) = push_row(
                     &vals,
                     &joined,
                     stages,

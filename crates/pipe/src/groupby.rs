@@ -18,18 +18,19 @@
 //!   [`ExactSum`](maybms_engine::ops::ExactSum) to make that hold
 //!   bit-for-bit.
 //!
-//! The state type is generic: the certain executor folds
-//! `Vec<AggState>` per group; `maybms-core` threads the U-relational
-//! side through [`UStream::collect_grouped`](crate::UStream::collect_grouped)
-//! with an accumulator holding member WSDs (for the per-group `conf()`
-//! fan-out) and running `esum`/`ecount` partial sums.
+//! The state type is generic: `maybms-core` drives the breaker through
+//! [`UStream::collect_grouped`](crate::UStream::collect_grouped) with an
+//! accumulator holding member WSDs (for the per-group `conf()` fan-out),
+//! running `esum`/`ecount` partial sums, and standard SQL
+//! [`AggState`](maybms_engine::ops::AggState)s.
 
 use maybms_engine::error::EngineError;
 use maybms_engine::hash::{fast_hash_one, FastMap};
 use maybms_engine::{Expr, Value};
 use maybms_par::ThreadPool;
+use maybms_urel::{URelation, Wsd};
 
-use crate::fuse::{self, MorselSink, RowSource, Stage};
+use crate::fuse::{self, MorselSink, Stage};
 
 /// A hashed group → state table in first-seen key order.
 ///
@@ -163,21 +164,21 @@ struct GroupSink<'a, A, NF, FF> {
     scratch: Vec<Value>,
 }
 
-impl<'a, P, A, E, NF, FF> MorselSink<P> for GroupSink<'a, A, NF, FF>
+impl<'a, A, E, NF, FF> MorselSink for GroupSink<'a, A, NF, FF>
 where
     E: From<EngineError> + Send,
     NF: Fn() -> A,
-    FF: Fn(&mut A, &[Value], &P) -> Result<(), E>,
+    FF: Fn(&mut A, &[Value], &Wsd) -> Result<(), E>,
 {
     type Err = E;
 
-    fn push(&mut self, row: &[Value], payload: &P) -> Result<(), E> {
+    fn push(&mut self, row: &[Value], wsd: &Wsd) -> Result<(), E> {
         self.scratch.clear();
         for e in self.key_exprs {
             self.scratch.push(e.eval_values(row).map_err(E::from)?);
         }
         let state = self.table.entry(&self.scratch, self.new_state);
-        (self.fold)(state, row, payload)
+        (self.fold)(state, row, wsd)
     }
 }
 
@@ -186,26 +187,25 @@ where
 /// `(keys, states)` in first-seen order.
 ///
 /// With no key expressions, a single global group is guaranteed (even
-/// over an empty input — SQL's scalar-aggregate behaviour).
+/// over an empty input — SQL's scalar-aggregate behaviour). The
+/// kernel-eligible σ/π prefix of `stages` runs vectorised.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn group_stream<S, A, E, NF, FF, MF>(
-    source: &S,
-    stages: &[Stage<S>],
+pub(crate) fn group_stream<A, E, NF, FF, MF>(
+    source: &URelation,
+    stages: &[Stage],
     key_exprs: &[Expr],
     pool: &ThreadPool,
     min_morsel: usize,
-    columnar: bool,
     stats: Option<&maybms_obs::PipelineStats>,
     new_state: NF,
     fold: FF,
     mut merge: MF,
 ) -> Result<(Vec<Vec<Value>>, Vec<A>), E>
 where
-    S: RowSource,
     A: Send,
     E: From<EngineError> + Send,
     NF: Fn() -> A + Sync,
-    FF: Fn(&mut A, &[Value], &S::Payload) -> Result<(), E> + Sync,
+    FF: Fn(&mut A, &[Value], &Wsd) -> Result<(), E> + Sync,
     MF: FnMut(&mut A, A) -> Result<(), E>,
 {
     let mut merged = GroupTable::new();
@@ -217,7 +217,7 @@ where
         }
     } else {
         let sinks =
-            fuse::run_sink(source, stages, pool, min_morsel, columnar, stats, || GroupSink {
+            fuse::run_sink(source, stages, pool, min_morsel, true, stats, || GroupSink {
                 table: GroupTable::new(),
                 key_exprs,
                 new_state: &new_state,
@@ -252,9 +252,9 @@ where
 /// key column). Determinism matches the hashed sink exactly: per-morsel
 /// first-seen group order, tables merged in morsel order.
 #[allow(clippy::too_many_arguments)]
-fn dense_dict_groups<S, A, E, NF, FF>(
-    source: &S,
-    stages: &[Stage<S>],
+fn dense_dict_groups<A, E, NF, FF>(
+    source: &URelation,
+    stages: &[Stage],
     key_exprs: &[Expr],
     pool: &ThreadPool,
     min_morsel: usize,
@@ -263,17 +263,16 @@ fn dense_dict_groups<S, A, E, NF, FF>(
     fold: &FF,
 ) -> Result<Option<Vec<GroupTable<A>>>, E>
 where
-    S: RowSource,
     A: Send,
     E: From<EngineError> + Send,
     NF: Fn() -> A + Sync,
-    FF: Fn(&mut A, &[Value], &S::Payload) -> Result<(), E> + Sync,
+    FF: Fn(&mut A, &[Value], &Wsd) -> Result<(), E> + Sync,
 {
     let [Expr::ColumnIdx(k)] = key_exprs else { return Ok(None) };
     if !stages.is_empty() {
         return Ok(None);
     }
-    let Some(batch) = source.at_rest() else { return Ok(None) };
+    let Some(batch) = fuse::at_rest_batch(source) else { return Ok(None) };
     let col = batch.column(*k);
     let maybms_engine::ColumnData::Dict { codes, dict } = col.data() else {
         return Ok(None);
@@ -307,7 +306,7 @@ where
                     dense[c]
                 };
                 batch.write_row(i, &mut rowbuf);
-                fold(table.state_mut(g), &rowbuf, source.payload(i))?;
+                fold(table.state_mut(g), &rowbuf, fuse::wsd_at(source, i))?;
             }
             metrics.morsels.inc();
             metrics.rows_in.add(n_src);

@@ -6,7 +6,7 @@
 //! bookkeeping — dominates the hot path. This crate is the push-based
 //! streaming layer on top of the same operators:
 //!
-//! * a query plan is decomposed into **pipelines** split at *breakers* —
+//! * `maybms-core` splits each query into **pipelines** at *breakers* —
 //!   operators that must see all of their input before emitting anything
 //!   (hash-join *build*, aggregation, sort, distinct, limit, union,
 //!   nested-loop join);
@@ -32,12 +32,13 @@
 //!   through the vectorised kernels of
 //!   [`maybms_engine::vector`], and rows pivot back to shared-row
 //!   tuples at probes, breakers, and sinks (where the U-relational WSD
-//!   bookkeeping lives). The planner decides eligibility per stage at
-//!   plan time; `EXPLAIN` marks those stages `(vectorised)`. Off-switch:
-//!   `MAYBMS_COLUMNAR=0` (see [`columnar_default`]);
-//! * when the source table is **columnar at rest** (the catalog default
-//!   since the storage refactor — see `maybms_engine::catalog`), a
-//!   kernel-eligible scan skips the per-morsel pivot entirely: stages
+//!   bookkeeping lives). Eligibility is decided per stage when the
+//!   pipeline runs; `EXPLAIN` marks those stages `(vectorised)`. The
+//!   row-at-a-time walk stays reachable only through
+//!   [`UStream::collect_opts`], as the equivalence tests' reference;
+//! * when the source table is **columnar at rest** (every catalog table
+//!   in `maybms-core` is), a kernel-eligible scan skips the per-morsel
+//!   pivot entirely: stages
 //!   borrow the stored column slices (dictionary codes included) and
 //!   the whole σ/π prefix runs **zero-pivot** — `EXPLAIN` marks the
 //!   source `(columnar, zero-pivot)` and the
@@ -46,24 +47,20 @@
 //!   hash-join build side and the dense GROUP BY key path with u32
 //!   codes and pre-cached hashes instead of strings;
 //! * morsels run on the `maybms-par` pool and morsel outputs are
-//!   concatenated in morsel order, preserving PR 2's determinism
+//!   concatenated in morsel order, preserving the determinism
 //!   contract: **pipelined output is bit-identical to the materialising
 //!   path at any thread count** — and the columnar path is bit-identical
 //!   to the row path, values *and* errors (property-tested at 1/2/8
 //!   threads in `crates/bench/tests/pipe_equiv.rs` and
 //!   `crates/bench/tests/vec_equiv.rs`).
 //!
-//! Two front ends share the machinery:
-//!
-//! * [`plan`] — decomposes and executes an engine
-//!   [`PhysicalPlan`](maybms_engine::PhysicalPlan) (certain relations);
-//! * [`ustream`] — a lazy [`UStream`] over U-relations that
-//!   `maybms-core` threads through its select/project/join chains,
-//!   conjoining world-set descriptors in the probe stage and dropping
-//!   unsatisfiable rows exactly as `urel::algebra` does.
-//!
-//! Both expose an `explain`-style description of the decomposition —
-//! what the SQL `EXPLAIN` statement prints.
+//! The one front end is [`ustream`]: a lazy [`UStream`] over U-relations
+//! that `maybms-core` threads through its select/project/join chains,
+//! conjoining world-set descriptors in the probe stage and dropping
+//! unsatisfiable rows exactly as `urel::algebra` does. A certain
+//! relation runs through it as a U-relation with tautological WSDs
+//! (`URelation::from_certain`, which keeps a columnar store's columns).
+//! [`UStream::describe`] is what the SQL `EXPLAIN` statement prints.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -71,26 +68,11 @@
 pub mod build;
 pub(crate) mod fuse;
 pub mod groupby;
-pub mod plan;
 pub mod ustream;
 
 pub use build::BuildTable;
 pub use groupby::GroupTable;
-pub use plan::{decompose, execute, execute_opts, execute_with, explain, PipePlan};
 pub use ustream::UStream;
-
-/// Is the columnar (vectorised) execution path enabled by default?
-///
-/// On unless `MAYBMS_COLUMNAR=0` — the default [`execute`] /
-/// [`UStream::collect`] entry points consult this; the `*_opts`
-/// variants take the flag explicitly (what the columnar ≡ row
-/// equivalence property tests pin). Read once per process.
-pub fn columnar_default() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| {
-        std::env::var("MAYBMS_COLUMNAR").map_or(true, |v| v.trim() != "0")
-    })
-}
 
 /// Hash of a row slice's key columns (columnar single-key fast path),
 /// `None` when any key is NULL. Agrees with the engine's

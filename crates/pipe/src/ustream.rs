@@ -19,7 +19,8 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use maybms_engine::ops::ProjectItem;
-use maybms_engine::{optimizer, EngineError, Expr, Field, Schema, Value};
+use maybms_engine::expr::fold;
+use maybms_engine::{EngineError, Expr, Field, Schema, Value};
 use maybms_par::ThreadPool;
 use maybms_urel::{Result, URelation, UTuple, Wsd};
 
@@ -35,7 +36,7 @@ use crate::fuse::{self, FusedOutput, Stage};
 /// pool — at [`UStream::collect`].
 pub struct UStream {
     source: URelation,
-    stages: Vec<Stage<URelation>>,
+    stages: Vec<Stage>,
     schema: Arc<Schema>,
 }
 
@@ -64,16 +65,16 @@ impl UStream {
 
     /// Append a σ stage (equivalent to `algebra::select`).
     ///
-    /// The predicate is constant-folded at bind time (the PR 3
-    /// projection-merge guard applies: fallible subexpressions never
-    /// fold out of short-circuited positions). A predicate folding to
+    /// The predicate is constant-folded at bind time ([`fold`]'s guard
+    /// applies: fallible subexpressions never fold out of
+    /// short-circuited positions). A predicate folding to
     /// `true` records no stage at all; one folding to `false`/`NULL`
     /// short-circuits the whole stream to an empty U-relation — but
     /// only when every stage recorded so far is infallible, so a
     /// runtime error the fused chain would have raised is never
     /// swallowed.
     pub fn filter(mut self, predicate: &Expr) -> Result<UStream> {
-        let bound = optimizer::fold(predicate.bind(&self.schema)?);
+        let bound = fold(predicate.bind(&self.schema)?);
         match &bound {
             Expr::Literal(Value::Bool(true)) => return Ok(self),
             Expr::Literal(Value::Bool(false)) | Expr::Literal(Value::Null)
@@ -99,7 +100,7 @@ impl UStream {
             // Field type from the unfolded expression, so the stream's
             // schema matches the materialising path exactly.
             fields.push(Field::new(item.name.clone(), e.data_type(&self.schema)));
-            exprs.push(optimizer::fold(e));
+            exprs.push(fold(e));
         }
         self.schema = Arc::new(Schema::new(fields));
         self.stages.push(Stage::Project(exprs));
@@ -157,28 +158,38 @@ impl UStream {
 
     /// [`UStream::collect`] on an explicit pool and minimum morsel size
     /// (what the determinism property tests pin to 1/2/8 threads).
-    /// Columnar execution follows [`crate::columnar_default`].
     pub fn collect_with(self, pool: &ThreadPool, min_morsel: usize) -> Result<URelation> {
-        self.collect_opts(pool, min_morsel, crate::columnar_default())
+        self.collect_stats(pool, min_morsel, None)
     }
 
     /// [`UStream::collect_with`] with the columnar path pinned
-    /// explicitly (what the columnar ≡ row equivalence tests use).
+    /// explicitly. `columnar = false` runs every stage through the
+    /// row-at-a-time walk — the reference the columnar ≡ row
+    /// equivalence tests compare the vectorised prefix against.
     pub fn collect_opts(
         self,
         pool: &ThreadPool,
         min_morsel: usize,
         columnar: bool,
     ) -> Result<URelation> {
-        self.collect_stats(pool, min_morsel, columnar, None)
+        self.run(pool, min_morsel, columnar, None)
     }
 
-    /// [`UStream::collect_opts`] with an optional per-pipeline stats
+    /// [`UStream::collect_with`] with an optional per-pipeline stats
     /// collector attached (see [`UStream::stats_skeleton`]). Collection
     /// is allocation-light (per-morsel stack tallies, flushed once per
     /// morsel) and never changes the output: stats are order-independent
     /// sums, bit-identical at any thread count or morsel size.
     pub fn collect_stats(
+        self,
+        pool: &ThreadPool,
+        min_morsel: usize,
+        stats: Option<&maybms_obs::PipelineStats>,
+    ) -> Result<URelation> {
+        self.run(pool, min_morsel, true, stats)
+    }
+
+    fn run(
         self,
         pool: &ThreadPool,
         min_morsel: usize,
@@ -317,7 +328,6 @@ impl UStream {
             &bound,
             pool,
             min_morsel,
-            crate::columnar_default(),
             stats,
             new_state,
             fold,
@@ -337,11 +347,7 @@ impl UStream {
     /// [`maybms_obs::QueryStats`] and pass it to
     /// [`UStream::collect_stats`] / [`UStream::collect_grouped_stats`].
     pub fn stats_skeleton(&self, label: impl Into<String>) -> maybms_obs::PipelineStats {
-        let vectorised = if crate::columnar_default() {
-            fuse::vector_prefix_len(&self.stages)
-        } else {
-            0
-        };
+        let vectorised = fuse::vector_prefix_len(&self.stages);
         let labels: Vec<String> = self
             .stages
             .iter()
@@ -387,11 +393,7 @@ impl UStream {
     pub fn describe(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "source: {}", self.source_mark());
-        let vectorised = if crate::columnar_default() {
-            fuse::vector_prefix_len(&self.stages)
-        } else {
-            0
-        };
+        let vectorised = fuse::vector_prefix_len(&self.stages);
         for (k, stage) in self.stages.iter().enumerate() {
             let vec_mark = if k < vectorised { " (vectorised)" } else { "" };
             match stage {

@@ -325,8 +325,13 @@ impl Parser {
             }
         }
         let limit = if self.eat_kw(K::Limit) {
-            match self.bump() {
-                Some(Token::Int(n)) if n >= 0 => Some(n as u64),
+            // Peek first: on error the diagnostic must name the bad
+            // token itself, not the one after it.
+            match self.peek() {
+                Some(&Token::Int(n)) if n >= 0 => {
+                    self.pos += 1;
+                    Some(n as u64)
+                }
                 _ => return Err(self.error("expected a non-negative integer after LIMIT")),
             }
         } else {
@@ -1040,6 +1045,25 @@ group by R1.player, R2.Final;";
         let err = parse_query("select from").unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("syntax error"), "{msg}");
+    }
+
+    #[test]
+    fn limit_error_points_at_the_bad_token() {
+        for (sql, col, found) in [
+            ("select * from t limit abc;", 23, "abc"),
+            ("select * from t limit -1;", 23, "-"),
+        ] {
+            match parse_query(sql).unwrap_err() {
+                ParseError::Syntax { message, line, col: c } => {
+                    assert_eq!((line, c), (1, col), "{sql}: {message}");
+                    assert!(
+                        message.ends_with(&format!("found `{found}`")),
+                        "{sql}: {message}"
+                    );
+                }
+                other => panic!("{sql}: expected a syntax error, got {other:?}"),
+            }
+        }
     }
 
     #[test]
