@@ -43,11 +43,13 @@
 //! numbers bound scheduling overhead rather than demonstrating multicore
 //! scaling, while the columnar-key and zero-clone gains still apply.
 //!
-//! The `filter_project_chain` and `join_pipelined` workloads are
-//! **three-way**: seed-naive vs materialising optimized operators vs the
-//! `maybms-pipe` morsel-driven streaming executor; their JSON rows carry
-//! an extra `pipelined_ms` plus `pipelined_speedup` (materialized ÷
-//! pipelined — the fusion win, net of everything else).
+//! Every optimized σ/π/⋈ leg runs through `maybms-pipe`'s `UStream`, the
+//! executor SQL statements run them through, over columnar-at-rest
+//! inputs like a catalog table: `filter_project_chain`, `join_pipelined`
+//! and `group_by_certain` time the seed operators against the one fused
+//! pipeline (and streaming group breaker) SQL runs. Three-way rows carry
+//! an extra `pipelined_ms` plus `pipelined_speedup` (optimized ÷ third
+//! leg).
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -61,7 +63,7 @@ use maybms_engine::{ops, BinaryOp, DataType, Expr, Field};
 use maybms_pipe::UStream;
 use maybms_urel::pick::PickTuplesOptions;
 use maybms_urel::repair::RepairKeyOptions;
-use maybms_urel::{algebra, URelation, WorldTable};
+use maybms_urel::{URelation, WorldTable};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -204,6 +206,20 @@ where
     (lat(n_samples), lat(o_samples), lat(p_samples), rows_out)
 }
 
+/// `l ⋈ r` on column 0 as the SQL path runs it: a fused probe over `l`,
+/// with `r` as the (smaller) build side.
+fn join_stream(l: &URelation, r: &URelation) -> UStream {
+    UStream::new(l.clone()).hash_join(r.clone(), &[0], &[0]).unwrap()
+}
+
+/// One σ/π/⋈ stage on a fresh stream over `input`, collected.
+fn step(
+    input: URelation,
+    stage: impl FnOnce(UStream) -> maybms_urel::Result<UStream>,
+) -> URelation {
+    stage(UStream::new(input)).unwrap().collect().unwrap()
+}
+
 /// Bind `exprs` against `schema` (the streaming breaker evaluates its
 /// keys and aggregate arguments positionally).
 fn bind_all(exprs: &[Expr], schema: &maybms_engine::Schema) -> Vec<Expr> {
@@ -272,10 +288,11 @@ fn main() {
     });
 
     // -- σ over the U-relational twin (WSDs ride along) ----------------
+    let u_unc = uncertain.compact();
     let (n, o, out) = compare(
         reps,
         || naive::select_u(&uncertain, &pred).unwrap().len(),
-        || algebra::select(&uncertain, &pred).unwrap().len(),
+        || step(u_unc.clone(), |s| s.filter(&pred)).len(),
     );
     outcomes.push(Outcome {
         name: "select_urel",
@@ -291,13 +308,16 @@ fn main() {
     let wide_rows = scale / 5;
     let (cw, _wtw, uw) = workloads::overhead_pair(22, wide_rows, (wide_rows / 10) as i64);
     let cwf = ops::filter(&cw, &pred).unwrap();
-    let uwf = algebra::select(&uw, &pred).unwrap();
+    let uwf = step(uw.clone(), |s| s.filter(&pred));
+    let cw_u = URelation::from_certain(&cw.compact());
+    let cwf_u = URelation::from_certain(&cwf.compact());
+    let (uw_c, uwf_c) = (uw.compact(), uwf.compact());
     // (Joins put the smaller input on the right: the stack's hash joins
     // build the right side by convention.)
     let (n, o, out) = compare(
         reps,
         || naive::hash_join(&cw, &cwf, &[0], &[0]).unwrap().len(),
-        || ops::hash_join(&cw, &cwf, &[0], &[0]).unwrap().len(),
+        || join_stream(&cw_u, &cwf_u).collect().unwrap().len(),
     );
     outcomes.push(Outcome {
         name: "join_wide_certain",
@@ -314,7 +334,7 @@ fn main() {
     let (n, o, out) = compare(
         reps,
         || naive::hash_join_u(&uwf, &uw, &[0], &[0]).unwrap().len(),
-        || algebra::hash_join(&uw, &uwf, &[0], &[0]).unwrap().len(),
+        || join_stream(&uw_c, &uwf_c).collect().unwrap().len(),
     );
     outcomes.push(Outcome {
         name: "join_wide_urel",
@@ -330,10 +350,13 @@ fn main() {
     //    join-heavy case where per-row key/WSD allocations dominated ----
     let (big, _w2, ubig) = workloads::overhead_pair(33, scale * 2, 1_000_000);
     let (small, _w3, usmall) = workloads::overhead_pair(34, scale / 50, 1_000_000);
+    let (big_c, small_c) = (big.compact(), small.compact());
+    let (u_big, u_small) = (URelation::from_certain(&big_c), URelation::from_certain(&small_c));
+    let (ubig_c, usmall_c) = (ubig.compact(), usmall.compact());
     let (n, o, out) = compare(
         reps,
         || naive::hash_join(&big, &small, &[0], &[0]).unwrap().len(),
-        || ops::hash_join(&big, &small, &[0], &[0]).unwrap().len(),
+        || join_stream(&u_big, &u_small).collect().unwrap().len(),
     );
     outcomes.push(Outcome {
         name: "join_selective_certain",
@@ -349,7 +372,7 @@ fn main() {
     let (n, o, out) = compare(
         reps,
         || naive::hash_join_u(&usmall, &ubig, &[0], &[0]).unwrap().len(),
-        || algebra::hash_join(&ubig, &usmall, &[0], &[0]).unwrap().len(),
+        || join_stream(&ubig_c, &usmall_c).collect().unwrap().len(),
     );
     outcomes.push(Outcome {
         name: "join_selective_urel",
@@ -392,7 +415,10 @@ fn main() {
     // over u32 codes with a dense seen-bitmap — no per-row string hash,
     // and (stats.pivots) no pivot: the dictionary is read at rest.
     let strings = workloads::string_keyed(77, scale, (scale / 50).max(4));
-    let s_only = ops::project(&strings, &[ops::ProjectItem::col("s")]).unwrap();
+    let s_only = step(URelation::from_certain(&strings), |s| {
+        s.project(&[ops::ProjectItem::col("s")])
+    })
+    .into_certain();
     let s_dict = s_only.compact();
     assert!(s_dict.is_columnar());
     // Setup pivoted once (the compact); re-mark so the recorded delta
@@ -546,12 +572,12 @@ fn main() {
     // -- Parallel variants on an explicit 4-thread pool ----------------
     let pool4 = maybms_par::ThreadPool::new(4);
 
-    // Selective FK join again, parallel: partitioned build + chunked
+    // Selective FK join again, parallel: morsel-local build + morsel
     // probe + columnar single-column keys vs the naive join.
     let (n, o, out) = compare(
         reps,
         || naive::hash_join(&big, &small, &[0], &[0]).unwrap().len(),
-        || ops::hash_join_with(&big, &small, &[0], &[0], &pool4, 4096).unwrap().len(),
+        || join_stream(&u_big, &u_small).collect_with(&pool4, 4096).unwrap().len(),
     );
     outcomes.push(Outcome {
         name: "join_selective_par4",
@@ -567,7 +593,7 @@ fn main() {
     let (n, o, out) = compare(
         reps,
         || naive::hash_join(&cw, &cwf, &[0], &[0]).unwrap().len(),
-        || ops::hash_join_with(&cw, &cwf, &[0], &[0], &pool4, 4096).unwrap().len(),
+        || join_stream(&cw_u, &cwf_u).collect_with(&pool4, 4096).unwrap().len(),
     );
     outcomes.push(Outcome {
         name: "join_wide_par4",
@@ -636,12 +662,11 @@ fn main() {
         stats: take_delta(&mut mark),
     });
 
-    // -- Streaming (maybms-pipe) three-way workloads -------------------
-    // A σ→π→σ→π chain: the materialising path builds three intermediate
-    // relations; the pipelined path fuses all four stages into one
-    // morsel-driven pass.
-    // Both optimized legs read the columnar-at-rest copy a catalog
-    // table is stored as.
+    // -- Streaming (maybms-pipe) workloads -----------------------------
+    // A σ→π→σ→π chain: the seed operators build three intermediate
+    // relations; the pipeline fuses all four stages into one
+    // morsel-driven pass over the columnar-at-rest copy a catalog table
+    // is stored as.
     let wide = certain.compact();
     let u_wide = URelation::from_certain(&wide);
     let pred1 = Expr::col("v").binary(BinaryOp::Lt, Expr::lit(500i64));
@@ -671,19 +696,13 @@ fn main() {
             .project(&proj2)
             .unwrap()
     };
-    let (n, o, p, out) = compare3(
+    let (n, o, out) = compare(
         reps,
         || {
             let a = naive::filter(&certain, &pred1).unwrap();
             let b = naive::project(&a, &proj1).unwrap();
             let c = naive::filter(&b, &pred2).unwrap();
             naive::project(&c, &proj2).unwrap().len()
-        },
-        || {
-            let a = ops::filter(&wide, &pred1).unwrap();
-            let b = ops::project(&a, &proj1).unwrap();
-            let c = ops::filter(&b, &pred2).unwrap();
-            ops::project(&c, &proj2).unwrap().len()
         },
         || chain_stream(&u_wide).collect().unwrap().len(),
     );
@@ -693,31 +712,24 @@ fn main() {
         rows_out: out,
         naive: n,
         optimized: o,
-        pipelined: Some(p),
+        pipelined: None,
         stats: take_delta(&mut mark),
     });
 
     // A selective σ → hash-probe → π pipeline: the filtered probe stream
     // flows straight into the join probe and output projection without
     // materialising the filtered input or the raw join output.
-    let (big_c, small_c) = (big.compact(), small.compact());
-    let (u_big, u_small) = (URelation::from_certain(&big_c), URelation::from_certain(&small_c));
     let join_pred = Expr::col("v").binary(BinaryOp::Lt, Expr::lit(500i64));
     let join_proj = [
         ops::ProjectItem::new(Expr::ColumnIdx(0), "k"),
         ops::ProjectItem::new(Expr::ColumnIdx(4), "v2"),
     ];
-    let (n, o, p, out) = compare3(
+    let (n, o, out) = compare(
         reps,
         || {
             let f = naive::filter(&big, &join_pred).unwrap();
             let j = naive::hash_join(&f, &small, &[0], &[0]).unwrap();
             naive::project(&j, &join_proj).unwrap().len()
-        },
-        || {
-            let f = ops::filter(&big_c, &join_pred).unwrap();
-            let j = ops::hash_join(&f, &small_c, &[0], &[0]).unwrap();
-            ops::project(&j, &join_proj).unwrap().len()
         },
         || {
             UStream::new(u_big.clone())
@@ -738,18 +750,16 @@ fn main() {
         rows_out: out,
         naive: n,
         optimized: o,
-        pipelined: Some(p),
+        pipelined: None,
         stats: take_delta(&mut mark),
     });
 
-    // -- Grouped aggregation, certain: σ → π → GROUP BY k three-way ----
+    // -- Grouped aggregation, certain: σ → π → GROUP BY k ---------------
     // The projection makes the breaker's input a *constructed* relation:
     // naive = seed operators + two-pass grouping (owned Vec<Value> keys,
-    // per-group index-list rescans); materialized = selection-vector σ,
-    // batched π, then a single-pass AggState fold over the materialised
-    // intermediate; streaming = the grouped-aggregation breaker (σ and π
-    // fused into the morsel-local group fold — no intermediate relation
-    // exists at all).
+    // per-group index-list rescans); streaming = the grouped-aggregation
+    // breaker (σ and π fused into the morsel-local group fold — no
+    // intermediate relation exists at all).
     let group_pred = Expr::col("v").binary(BinaryOp::Lt, Expr::lit(500i64));
     let group_proj = [
         ops::ProjectItem::col("k"),
@@ -771,17 +781,12 @@ fn main() {
     let group_stream_keys = bind_all(&group_keys, &group_schema);
     let group_key_fields = vec![Field::new("k", DataType::Int)];
     let group_specs = std_specs(&group_aggs, &group_schema);
-    let (n, o, p, out) = compare3(
+    let (n, o, out) = compare(
         reps,
         || {
             let f = naive::filter(&certain, &group_pred).unwrap();
             let pr = naive::project(&f, &group_proj).unwrap();
             naive::aggregate(&pr, &group_keys, &group_names, &group_aggs).unwrap().len()
-        },
-        || {
-            let f = ops::filter(&wide, &group_pred).unwrap();
-            let pr = ops::project(&f, &group_proj).unwrap();
-            ops::aggregate(&pr, &group_keys, &group_names, &group_aggs).unwrap().len()
         },
         || {
             let stream = UStream::new(u_wide.clone())
@@ -809,7 +814,7 @@ fn main() {
         rows_out: out,
         naive: n,
         optimized: o,
-        pipelined: Some(p),
+        pipelined: None,
         stats: take_delta(&mut mark),
     });
 
@@ -1115,19 +1120,17 @@ fn main() {
          \"cores\": {cores}, \"trace\": {trace_on}, \
          \"note\": \"naive = seed algorithms (deep clones, Vec<Value> join keys, \
          per-row WSD heap allocation); optimized = zero-clone core (selection \
-         vectors, hashed keys, batched rows, inline WSDs); *_par4 workloads run \
-         the optimized operators on an explicit 4-thread maybms-par pool \
-         (conf_dtree_par4 and karp_luby_par4 baselines are the *sequential \
-         optimized* algorithms, isolating the scheduler; with cores=1 the par \
-         columns bound threading overhead, not multicore scaling); workloads \
-         with pipelined_ms additionally run the same chain through \
-         maybms-pipe UStream pipelines, the executor the SQL path uses, \
-         columnar path on (pipelined_speedup = \
-         optimized_ms / pipelined_ms, the fusion win over full \
-         materialisation); group_by_* are three-way grouped-aggregation \
-         workloads: seed two-pass grouping vs single-pass AggState fold \
-         over a materialised input vs the streaming grouped-aggregation \
-         breaker (morsel-local group fold, input never materialised); \
+         vectors, hashed keys, batched rows, inline WSDs), every sigma/pi/join \
+         through maybms-pipe UStream pipelines, the executor the SQL path \
+         uses; *_par4 workloads run the optimized operators on an explicit \
+         4-thread maybms-par pool (conf_dtree_par4 and karp_luby_par4 \
+         baselines are the *sequential optimized* algorithms, isolating the \
+         scheduler; with cores=1 the par columns bound threading overhead, \
+         not multicore scaling); group_by_conf and group_by_string_dict are \
+         three-way grouped-aggregation workloads: seed two-pass grouping vs \
+         a fold over a materialised input vs the streaming \
+         grouped-aggregation breaker (pipelined_ms: morsel-local group \
+         fold, input never materialised); \
          expr_heavy_columnar is naive vs the ROW-morsel streaming \
          executor (optimized_ms) vs the COLUMNAR vectorised one \
          (pipelined_ms) — its pipelined_speedup isolates the typed \

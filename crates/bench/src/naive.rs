@@ -556,8 +556,11 @@ mod tests {
             ops::filter(&r, &pred).unwrap().tuples()
         );
         assert_eq!(distinct(&r).tuples(), ops::distinct(&r).tuples());
+        // Joins run only as fused UStream probes.
+        let u = URelation::from_certain(&r);
+        let joined = maybms_pipe::UStream::new(u.clone()).hash_join(u, &[0], &[0]).unwrap();
         let mut a = hash_join(&r, &r, &[0], &[0]).unwrap().into_tuples();
-        let mut b = ops::hash_join(&r, &r, &[0], &[0]).unwrap().into_tuples();
+        let mut b = joined.collect().unwrap().into_certain().into_tuples();
         a.sort();
         b.sort();
         assert_eq!(a, b);

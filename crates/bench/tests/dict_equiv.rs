@@ -20,7 +20,7 @@ use std::sync::Arc;
 use maybms_bench::naive;
 use maybms_core::agg::{aggregate_stream_with, ConfContext};
 use maybms_core::translate::AggSpec;
-use maybms_engine::ops::{self, AggCall, AggFunc};
+use maybms_engine::ops::{AggCall, AggFunc};
 use maybms_engine::{DataType, Expr, Field, Relation, Schema, Tuple, Value};
 use maybms_par::ThreadPool;
 use maybms_pipe::UStream;
@@ -70,15 +70,22 @@ proptest! {
 
     /// Hash join keyed on a text column: the dictionary-code build side
     /// over a columnar build table ≡ the string build side over a
-    /// row-major one ≡ the materialising `ops::hash_join`, bit-identically,
-    /// at every thread count — and ≡ the naive join as a bag.
+    /// row-major one ≡ the one-thread row walk over row-major tables,
+    /// bit-identically, at every thread count — and ≡ the naive join as
+    /// a bag.
     #[test]
     fn dict_join_build_matches_string_path(
         build in prop::collection::vec((arb_key(), arb_payload()), 0..24),
         probe in prop::collection::vec((arb_key(), arb_payload()), 0..24),
     ) {
         let (b, p) = (table("b", build), table("p", probe));
-        let want = ops::hash_join(&p, &b, &[0], &[0]).unwrap();
+        let (probes, builds) = (lifted(&p), lifted(&b));
+        let want = UStream::new(probes[0].clone())
+            .hash_join(builds[0].clone(), &[0], &[0])
+            .unwrap()
+            .collect_opts(&ThreadPool::new(1), 1, false)
+            .unwrap()
+            .into_certain();
         prop_assert_eq!(
             sorted(&naive::hash_join(&p, &b, &[0], &[0]).unwrap()),
             sorted(&want)
@@ -87,7 +94,6 @@ proptest! {
         for t in want.tuples() {
             prop_assert!(t.value(0) != &Value::Null);
         }
-        let (probes, builds) = (lifted(&p), lifted(&b));
         for threads in [1usize, 2, 8] {
             let pool = ThreadPool::new(threads);
             for morsel in [1usize, 4] {

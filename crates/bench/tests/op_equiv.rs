@@ -3,39 +3,21 @@
 //! The optimized operators (selection vectors, hashed join keys, batched
 //! row buffers, inline WSDs) must agree tuple-for-tuple with the
 //! seed-faithful naive implementations in `maybms_bench::naive` — exactly
-//! (order included) for order-defined operators (σ, distinct, sort), and
-//! as bags for joins. Inputs include NULL join keys (which must never
-//! match) and conflicting WSDs (whose join pairs must be dropped as
-//! unsatisfiable).
+//! (order included) for the order-defined breakers (σ, distinct, sort),
+//! and as bags for the σ and ⋈ stages of `UStream`, the executor every
+//! SQL statement runs them through. Inputs include NULL join keys (which
+//! must never match) and conflicting WSDs (whose join pairs must be
+//! dropped as unsatisfiable).
 
 use maybms_bench::naive;
 use maybms_engine::{ops, BinaryOp, DataType, Expr, Relation, Schema, Tuple, Value};
-use maybms_urel::{algebra, Assignment, URelation, UTuple, Var, WorldTable, Wsd};
+use maybms_pipe::UStream;
+use maybms_urel::{algebra, URelation, WorldTable, Wsd};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// Numeric-or-NULL values: usable as join keys and in comparison
-/// predicates, with cross-type Int/Float duplicates (1 == 1.0).
-fn arb_num() -> impl Strategy<Value = Value> {
-    prop_oneof![
-        Just(Value::Null),
-        (0i64..5).prop_map(Value::Int),
-        (0i64..8).prop_map(|i| Value::Float(i as f64 / 2.0)),
-    ]
-}
-
-/// Text payload (exercises `Arc<str>` sharing through the operators).
-fn arb_text() -> impl Strategy<Value = Value> {
-    prop::sample::select(vec!["a", "b", "c"]).prop_map(Value::str)
-}
-
-fn schema3() -> Arc<Schema> {
-    Arc::new(Schema::from_pairs(&[
-        ("k", DataType::Unknown),
-        ("v", DataType::Unknown),
-        ("s", DataType::Text),
-    ]))
-}
+mod gen;
+use gen::{arb_num, arb_text, arb_urelation, schema3};
 
 /// A relation over (k, v, s) with NULLs and cross-type numeric duplicates
 /// in the key column.
@@ -48,40 +30,15 @@ fn arb_relation() -> impl Strategy<Value = Relation> {
     })
 }
 
-/// A world table with three small variables plus a U-relation whose WSDs
-/// mention them — self-joins hit conflicting assignments (unsatisfiable
-/// conjunctions that the join must drop).
-fn arb_urelation() -> impl Strategy<Value = (WorldTable, URelation)> {
-    (
-        prop::collection::vec((arb_num(), arb_num(), arb_text()), 0..16),
-        prop::collection::vec(prop::collection::vec((0u32..3, 0u16..2), 0..3), 0..16),
-    )
-        .prop_map(|(rows, raw_wsds)| {
-            let mut wt = WorldTable::new();
-            for _ in 0..3 {
-                wt.new_var(&[0.5, 0.5]).unwrap();
-            }
-            let tuples = rows
-                .into_iter()
-                .zip(raw_wsds.into_iter().chain(std::iter::repeat(Vec::new())))
-                .map(|((k, v, s), raw)| {
-                    let wsd = Wsd::from_assignments(
-                        raw.into_iter()
-                            .map(|(v, a)| Assignment::new(Var(v), a))
-                            .collect(),
-                    )
-                    .unwrap_or_else(Wsd::tautology);
-                    UTuple::new(Tuple::new(vec![k, v, s]), wsd)
-                })
-                .collect();
-            (wt, URelation::new(schema3(), tuples))
-        })
-}
-
 fn bag(r: &Relation) -> Vec<Tuple> {
     let mut v = r.tuples().to_vec();
     v.sort();
     v
+}
+
+/// `l ⋈ r` on column 0 through a fused `UStream` probe (`r` builds).
+fn probe(l: &URelation, r: &URelation) -> URelation {
+    UStream::new(l.clone()).hash_join(r.clone(), &[0], &[0]).unwrap().collect().unwrap()
 }
 
 fn ubag(u: &URelation) -> Vec<(Tuple, Wsd)> {
@@ -119,49 +76,55 @@ proptest! {
         prop_assert_eq!(a.tuples(), b.tuples());
     }
 
-    /// Hashed join equals the Vec-keyed join as a bag, including NULL join
-    /// keys (never match) and cross-type numeric keys (1 == 1.0).
+    /// The fused hash-join probe over certain relations equals the
+    /// Vec-keyed join as a bag, including NULL join keys (never match)
+    /// and cross-type numeric keys (1 == 1.0).
     #[test]
     fn hash_join_matches_naive(l in arb_relation(), r in arb_relation()) {
-        let a = ops::hash_join(&l, &r, &[0], &[0]).unwrap();
+        let a = probe(&URelation::from_certain(&l), &URelation::from_certain(&r));
         let b = naive::hash_join(&l, &r, &[0], &[0]).unwrap();
-        prop_assert_eq!(bag(&a), bag(&b));
+        prop_assert_eq!(bag(&a.into_certain()), bag(&b));
     }
 
-    /// Hashed join also equals a nested-loop join with the equivalent
-    /// equality predicate (independent oracle).
+    /// The fused probe also equals the nested-loop join (the SQL path's
+    /// join for sources no equality conjunct links) with the equivalent
+    /// equality predicate — an independent oracle.
     #[test]
     fn hash_join_matches_nested_loop(l in arb_relation(), r in arb_relation()) {
-        let a = ops::hash_join(&l, &r, &[0], &[0]).unwrap();
+        let (l, r) = (URelation::from_certain(&l), URelation::from_certain(&r));
+        let a = probe(&l, &r);
         let pred = Expr::ColumnIdx(0).eq(Expr::ColumnIdx(3));
-        let b = ops::nested_loop_join(&l, &r, Some(&pred)).unwrap();
-        prop_assert_eq!(bag(&a), bag(&b));
+        let b = algebra::nested_loop_join(&l, &r, Some(&pred)).unwrap();
+        prop_assert_eq!(ubag(&a), ubag(&b));
     }
 
-    /// U-relational σ: selection vector equals deep-clone select.
+    /// U-relational σ: the fused selection vector equals deep-clone select.
     #[test]
-    fn select_u_matches_naive((_wt, u) in arb_urelation()) {
+    fn select_u_matches_naive((_wt, u) in arb_urelation(arb_num, 16)) {
         let pred = Expr::col("v").binary(BinaryOp::Gt, Expr::lit(1i64));
-        let a = algebra::select(&u, &pred).unwrap();
+        let a = UStream::new(u.clone()).filter(&pred).unwrap().collect().unwrap();
         let b = naive::select_u(&u, &pred).unwrap();
         prop_assert_eq!(ubag(&a), ubag(&b));
     }
 
-    /// U-relational hashed join equals the Vec-keyed join as a bag of
+    /// The U-relational fused probe equals the Vec-keyed join as a bag of
     /// (data, wsd) pairs — WSD conjunction and unsatisfiable-pair drops
     /// included.
     #[test]
-    fn hash_join_u_matches_naive((_wt, u) in arb_urelation(), (_w2, u2) in arb_urelation()) {
-        let a = algebra::hash_join(&u, &u2, &[0], &[0]).unwrap();
+    fn hash_join_u_matches_naive(
+        (_wt, u) in arb_urelation(arb_num, 16),
+        (_w2, u2) in arb_urelation(arb_num, 16),
+    ) {
+        let a = probe(&u, &u2);
         let b = naive::hash_join_u(&u, &u2, &[0], &[0]).unwrap();
         prop_assert_eq!(ubag(&a), ubag(&b));
     }
 
-    /// U-relational hashed self-join equals the nested-loop translation —
-    /// self-joins maximise conflicting-WSD pairs.
+    /// The U-relational fused self-join probe equals the nested-loop
+    /// translation — self-joins maximise conflicting-WSD pairs.
     #[test]
-    fn hash_join_u_self_matches_nested_loop((_wt, u) in arb_urelation()) {
-        let a = algebra::hash_join(&u, &u, &[0], &[0]).unwrap();
+    fn hash_join_u_self_matches_nested_loop((_wt, u) in arb_urelation(arb_num, 16)) {
+        let a = probe(&u, &u);
         let pred = Expr::ColumnIdx(0).eq(Expr::ColumnIdx(3));
         let b = naive::nested_loop_join_u(&u, &u, Some(&pred)).unwrap();
         prop_assert_eq!(ubag(&a), ubag(&b));

@@ -8,13 +8,19 @@
 //! adversarial input families as `op_equiv.rs`: NULL join keys (which
 //! must never match), cross-type numeric keys (1 == 1.0), and
 //! conflicting WSDs (whose join pairs must drop as unsatisfiable).
+//! σ and ⋈ run through `UStream`, with the one-thread, whole-input row
+//! walk as the sequential reference.
 
 use maybms_conf::{dklr, exact, karp_luby::KarpLuby, Dnf};
 use maybms_engine::{ops, BinaryOp, DataType, Expr, Relation, Schema, Tuple, Value};
 use maybms_par::ThreadPool;
-use maybms_urel::{algebra, Assignment, URelation, UTuple, Var, WorldTable, Wsd};
+use maybms_pipe::UStream;
+use maybms_urel::{Assignment, URelation, UTuple, WorldTable, Wsd};
 use proptest::prelude::*;
 use std::sync::Arc;
+
+mod gen;
+use gen::{arb_num, arb_text, arb_urelation, schema3};
 
 /// Thread counts every property is checked at (1 must equal 2 must equal
 /// 8 must equal the sequential reference).
@@ -22,26 +28,6 @@ const THREADS: [usize; 3] = [1, 2, 8];
 
 /// Chunk size small enough that 0..24-row relations split across tasks.
 const TINY_CHUNK: usize = 3;
-
-fn arb_num() -> impl Strategy<Value = Value> {
-    prop_oneof![
-        Just(Value::Null),
-        (0i64..5).prop_map(Value::Int),
-        (0i64..8).prop_map(|i| Value::Float(i as f64 / 2.0)),
-    ]
-}
-
-fn arb_text() -> impl Strategy<Value = Value> {
-    prop::sample::select(vec!["a", "b", "c"]).prop_map(Value::str)
-}
-
-fn schema3() -> Arc<Schema> {
-    Arc::new(Schema::from_pairs(&[
-        ("k", DataType::Unknown),
-        ("v", DataType::Unknown),
-        ("s", DataType::Text),
-    ]))
-}
 
 fn arb_relation() -> impl Strategy<Value = Relation> {
     prop::collection::vec((arb_num(), arb_num(), arb_text()), 0..24).prop_map(|rows| {
@@ -52,33 +38,14 @@ fn arb_relation() -> impl Strategy<Value = Relation> {
     })
 }
 
-/// A U-relation over three shared variables: self-joins hit conflicting
-/// assignments, i.e. unsatisfiable-WSD drops.
-fn arb_urelation() -> impl Strategy<Value = (WorldTable, URelation)> {
-    (
-        prop::collection::vec((arb_num(), arb_num(), arb_text()), 0..16),
-        prop::collection::vec(prop::collection::vec((0u32..3, 0u16..2), 0..3), 0..16),
-    )
-        .prop_map(|(rows, raw_wsds)| {
-            let mut wt = WorldTable::new();
-            for _ in 0..3 {
-                wt.new_var(&[0.5, 0.5]).unwrap();
-            }
-            let tuples = rows
-                .into_iter()
-                .zip(raw_wsds.into_iter().chain(std::iter::repeat(Vec::new())))
-                .map(|((k, v, s), raw)| {
-                    let wsd = Wsd::from_assignments(
-                        raw.into_iter()
-                            .map(|(v, a)| Assignment::new(Var(v), a))
-                            .collect(),
-                    )
-                    .unwrap_or_else(Wsd::tautology);
-                    UTuple::new(Tuple::new(vec![k, v, s]), wsd)
-                })
-                .collect();
-            (wt, URelation::new(schema3(), tuples))
-        })
+/// `l ⋈ r` on `keys` (same positions on both sides) as a fused probe.
+fn join_stream(l: &URelation, r: &URelation, keys: &[usize]) -> UStream {
+    UStream::new(l.clone()).hash_join(r.clone(), keys, keys).unwrap()
+}
+
+/// The sequential reference: the one-thread, whole-input row walk.
+fn row_walk(s: UStream) -> URelation {
+    s.collect_opts(&ThreadPool::new(1), 1, false).unwrap()
 }
 
 /// A DNF with independent blocks (exercising parallel partitions) plus a
@@ -141,15 +108,16 @@ proptest! {
         }
     }
 
-    /// ⋈: the partitioned-build / chunked-probe join equals the
+    /// ⋈: the morsel-local build / morsel-parallel probe equals the
     /// sequential join tuple-for-tuple (order included), NULL keys and
     /// cross-type numeric keys included.
     #[test]
     fn par_hash_join_identical(l in arb_relation(), r in arb_relation()) {
-        let seq = ops::hash_join(&l, &r, &[0], &[0]).unwrap();
+        let (l, r) = (URelation::from_certain(&l), URelation::from_certain(&r));
+        let seq = row_walk(join_stream(&l, &r, &[0]));
         for threads in THREADS {
             let pool = ThreadPool::new(threads);
-            let par = ops::hash_join_with(&l, &r, &[0], &[0], &pool, TINY_CHUNK).unwrap();
+            let par = join_stream(&l, &r, &[0]).collect_with(&pool, TINY_CHUNK).unwrap();
             prop_assert_eq!(seq.tuples(), par.tuples(), "threads = {}", threads);
         }
     }
@@ -158,11 +126,11 @@ proptest! {
     /// deterministic too.
     #[test]
     fn par_hash_join_two_keys_identical(l in arb_relation(), r in arb_relation()) {
-        let seq = ops::hash_join(&l, &r, &[0, 1], &[0, 1]).unwrap();
+        let (l, r) = (URelation::from_certain(&l), URelation::from_certain(&r));
+        let seq = row_walk(join_stream(&l, &r, &[0, 1]));
         for threads in THREADS {
             let pool = ThreadPool::new(threads);
-            let par =
-                ops::hash_join_with(&l, &r, &[0, 1], &[0, 1], &pool, TINY_CHUNK).unwrap();
+            let par = join_stream(&l, &r, &[0, 1]).collect_with(&pool, TINY_CHUNK).unwrap();
             prop_assert_eq!(seq.tuples(), par.tuples(), "threads = {}", threads);
         }
     }
@@ -182,12 +150,13 @@ proptest! {
 
     /// U-relational σ: WSDs ride along unchanged, order preserved.
     #[test]
-    fn par_select_u_identical((_wt, u) in arb_urelation()) {
+    fn par_select_u_identical((_wt, u) in arb_urelation(arb_num, 16)) {
         let pred = Expr::col("v").binary(BinaryOp::Gt, Expr::lit(1i64));
-        let seq = algebra::select(&u, &pred).unwrap();
+        let stream = || UStream::new(u.clone()).filter(&pred).unwrap();
+        let seq = row_walk(stream());
         for threads in THREADS {
             let pool = ThreadPool::new(threads);
-            let par = algebra::select_with(&u, &pred, &pool, TINY_CHUNK).unwrap();
+            let par = stream().collect_with(&pool, TINY_CHUNK).unwrap();
             prop_assert_eq!(seq.tuples(), par.tuples(), "threads = {}", threads);
         }
     }
@@ -196,11 +165,11 @@ proptest! {
     /// drop identically in the parallel probe, and surviving (data, wsd)
     /// pairs come out in the sequential order.
     #[test]
-    fn par_hash_join_u_identical((_wt, u) in arb_urelation()) {
-        let seq = algebra::hash_join(&u, &u, &[0], &[0]).unwrap();
+    fn par_hash_join_u_identical((_wt, u) in arb_urelation(arb_num, 16)) {
+        let seq = row_walk(join_stream(&u, &u, &[0]));
         for threads in THREADS {
             let pool = ThreadPool::new(threads);
-            let par = algebra::hash_join_with(&u, &u, &[0], &[0], &pool, TINY_CHUNK).unwrap();
+            let par = join_stream(&u, &u, &[0]).collect_with(&pool, TINY_CHUNK).unwrap();
             prop_assert_eq!(seq.tuples(), par.tuples(), "threads = {}", threads);
         }
     }
@@ -227,8 +196,7 @@ proptest! {
     /// single-row morsels (order-independent sums — the instrumentation
     /// side of the determinism contract).
     #[test]
-    fn instrumented_ustream_stats_identical((_wt, u) in arb_urelation()) {
-        use maybms_pipe::UStream;
+    fn instrumented_ustream_stats_identical((_wt, u) in arb_urelation(arb_num, 16)) {
         let pred = Expr::col("v").binary(BinaryOp::Gt, Expr::lit(0i64));
         let build_stream = || {
             UStream::new(u.clone())
@@ -284,7 +252,7 @@ proptest! {
 }
 
 /// Non-property check: an unsatisfiable self-join pair (x↦0 ∧ x↦1) must
-/// drop in both paths — the `op_equiv.rs` edge case, pinned explicitly.
+/// drop at every thread count — the `op_equiv.rs` edge case, pinned explicitly.
 #[test]
 fn unsatisfiable_wsd_pairs_drop_in_parallel_join() {
     let mut wt = WorldTable::new();
@@ -297,11 +265,11 @@ fn unsatisfiable_wsd_pairs_drop_in_parallel_join() {
             UTuple::new(Tuple::new(vec![Value::Int(1)]), Wsd::of(x, 1)),
         ],
     );
-    let seq = algebra::hash_join(&u, &u, &[0], &[0]).unwrap();
+    let seq = row_walk(join_stream(&u, &u, &[0]));
     assert_eq!(seq.len(), 2, "only the self-consistent pairs survive");
     for threads in THREADS {
         let pool = ThreadPool::new(threads);
-        let par = algebra::hash_join_with(&u, &u, &[0], &[0], &pool, 1).unwrap();
+        let par = join_stream(&u, &u, &[0]).collect_with(&pool, 1).unwrap();
         assert_eq!(seq.tuples(), par.tuples(), "threads = {threads}");
     }
 }
@@ -313,11 +281,12 @@ fn null_keys_never_match_in_parallel_join() {
         &[("k", DataType::Int)],
         vec![vec![Value::Null], vec![Value::Null], vec![1.into()], vec![1.into()]],
     );
-    let seq = ops::hash_join(&r, &r, &[0], &[0]).unwrap();
+    let r = URelation::from_certain(&r);
+    let seq = row_walk(join_stream(&r, &r, &[0]));
     assert_eq!(seq.len(), 4, "2×2 non-NULL pairs only");
     for threads in THREADS {
         let pool = ThreadPool::new(threads);
-        let par = ops::hash_join_with(&r, &r, &[0], &[0], &pool, 1).unwrap();
+        let par = join_stream(&r, &r, &[0]).collect_with(&pool, 1).unwrap();
         assert_eq!(seq.tuples(), par.tuples(), "threads = {threads}");
     }
 }

@@ -1,7 +1,8 @@
-//! Pipelined ≡ materialised: the morsel-driven executor (`maybms-pipe`)
-//! must produce **bit-identical** output — schema, tuples, WSDs, order —
-//! to the bottom-up materialising executors, at any thread count and any
-//! morsel size.
+//! The morsel-driven executor (`maybms-pipe`) against its references:
+//! **bit-identical** output — schema, tuples, WSDs, order — at any thread
+//! count and any morsel size to the one-thread, whole-input row walk
+//! (`collect_opts(.., false)`), and the same bag as the seed-faithful
+//! naive operators (`maybms_bench::naive`, the single oracle).
 //!
 //! Random σ/π/⋈ chains are generated as token programs (arity tracked
 //! through projections and joins, comparisons and arithmetic restricted
@@ -15,17 +16,20 @@
 //! suite under `MAYBMS_THREADS=1` and `=4`, covering the process-wide
 //! pool dispatch.
 
-use std::sync::Arc;
-
 use maybms_core::agg as uagg;
 use maybms_core::translate::AggSpec;
 use maybms_bench::naive;
 use maybms_engine::ops::{self, AggCall, AggFunc, ProjectItem};
-use maybms_engine::{DataType, Expr, Field, Relation, Schema, Tuple, Value};
+use maybms_engine::{DataType, Expr, Field, Relation, Tuple};
 use maybms_par::ThreadPool;
 use maybms_pipe::UStream;
-use maybms_urel::{algebra, Assignment, URelation, UTuple, Var, WorldTable, Wsd};
+use maybms_urel::{URelation, WorldTable, Wsd};
 use proptest::prelude::*;
+
+mod chains;
+mod gen;
+use chains::{arb_cell, arb_tables, certain_stream, run_naive, sorted, Step};
+use gen::arb_urelation;
 
 /// Per-stage `(label, rows_in, rows_out, build_rows)` fingerprint of an
 /// instrumented pipeline, plus its group count. Everything in here is
@@ -65,55 +69,8 @@ fn query_fingerprint(
 // Certain path: random σ/π/⋈ UStream chains vs the naive operators
 // ---------------------------------------------------------------------
 
-/// Numeric-or-NULL values: safe under comparison and arithmetic, with
-/// cross-type duplicates in the key columns.
-fn arb_num() -> impl Strategy<Value = Value> {
-    prop_oneof![
-        Just(Value::Null),
-        (0i64..5).prop_map(Value::Int),
-        (0i64..8).prop_map(|i| Value::Float(i as f64 / 2.0)),
-    ]
-}
-
-/// Two all-numeric tables: `t0` (3 columns) and `t1` (2 columns).
-fn arb_tables() -> impl Strategy<Value = [Relation; 2]> {
-    (
-        prop::collection::vec((arb_num(), arb_num(), arb_num()), 0..20),
-        prop::collection::vec((arb_num(), arb_num()), 0..8),
-    )
-        .prop_map(|(rows0, rows1)| {
-            let s0 = Arc::new(Schema::from_pairs(&[
-                ("a", DataType::Unknown),
-                ("b", DataType::Unknown),
-                ("c", DataType::Unknown),
-            ]));
-            let s1 = Arc::new(Schema::from_pairs(&[
-                ("d", DataType::Unknown),
-                ("e", DataType::Unknown),
-            ]));
-            [
-                Relation::new_unchecked(
-                    s0,
-                    rows0.into_iter().map(|(a, b, x)| Tuple::new(vec![a, b, x])).collect(),
-                ),
-                Relation::new_unchecked(
-                    s1,
-                    rows1.into_iter().map(|(d, e)| Tuple::new(vec![d, e])).collect(),
-                ),
-            ]
-        })
-}
-
 /// One chain-building token: `(opcode, a, b)`.
 type Token = (u8, u8, u8);
-
-/// One stage of a certain σ/π/⋈ chain.
-enum Step {
-    Filter(Expr),
-    Project(Vec<ProjectItem>),
-    /// Hash join against `tables[table]` (the chain is the probe side).
-    Join { table: usize, left_key: usize, right_key: usize },
-}
 
 /// Fold a token program into a well-typed chain over `tables[base % 2]`,
 /// tracking output arity (returned last). All columns stay
@@ -213,73 +170,21 @@ fn stream_agg(
     .unwrap()
 }
 
-/// The chain through the seed-faithful naive operators.
-fn run_naive(tables: &[Relation; 2], source: usize, steps: &[Step]) -> Relation {
-    let mut r = tables[source].clone();
-    for step in steps {
-        r = match step {
-            Step::Filter(p) => naive::filter(&r, p),
-            Step::Project(items) => naive::project(&r, items),
-            Step::Join { table, left_key, right_key } => {
-                naive::hash_join(&r, &tables[*table], &[*left_key], &[*right_key])
-            }
-        }
-        .unwrap();
-    }
-    r
-}
-
-/// The chain through the materialising `engine::ops` operators (same
-/// build-right/probe-left join convention as the fused probe, so row
-/// order is directly comparable).
-fn run_ops(tables: &[Relation; 2], source: usize, steps: &[Step]) -> Relation {
-    let mut r = tables[source].clone();
-    for step in steps {
-        r = match step {
-            Step::Filter(p) => ops::filter(&r, p),
-            Step::Project(items) => ops::project(&r, items),
-            Step::Join { table, left_key, right_key } => {
-                ops::hash_join(&r, &tables[*table], &[*left_key], &[*right_key])
-            }
-        }
-        .unwrap();
-    }
-    r
-}
-
-/// The chain as one fused `UStream` over certain U-relations (`lifted`
-/// are the tables already lifted by `URelation::from_certain`).
-fn certain_stream(lifted: &[URelation; 2], source: usize, steps: &[Step]) -> UStream {
-    let mut s = UStream::new(lifted[source].clone());
-    for step in steps {
-        s = match step {
-            Step::Filter(p) => s.filter(p),
-            Step::Project(items) => s.project(items),
-            Step::Join { table, left_key, right_key } => {
-                s.hash_join(lifted[*table].clone(), &[*left_key], &[*right_key])
-            }
-        }
-        .unwrap();
-    }
-    s
-}
-
-fn sorted(r: &Relation) -> Vec<Tuple> {
-    let mut t = r.tuples().to_vec();
-    t.sort();
-    t
+/// The order reference: the one-thread, whole-input row walk.
+fn row_walk(stream: UStream) -> URelation {
+    stream.collect_opts(&ThreadPool::new(1), 1, false).unwrap()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// A fused UStream chain over certain relations ≡ the materialising
-    /// `engine::ops` chain (rows and order), and ≡ the naive operators
-    /// as a bag, at 1/2/8 threads and morsel sizes down to one row —
-    /// over row-store sources and over columnar-at-rest (`compact()`)
-    /// sources alike, every WSD tautological. With a terminal grouped
-    /// aggregation, the streaming group breaker (per-morsel states
-    /// merged) ≡ `ops::aggregate` over the materialised chain, exactly.
+    /// A fused UStream chain over certain relations ≡ the one-thread row
+    /// walk (rows and order), and ≡ the naive operators as a bag, at
+    /// 1/2/8 threads and morsel sizes down to one row — over row-store
+    /// sources and over columnar-at-rest (`compact()`) sources alike,
+    /// every WSD tautological. With a terminal grouped aggregation, the
+    /// streaming group breaker (per-morsel states merged) ≡
+    /// `ops::aggregate` over the collected row walk, exactly.
     #[test]
     fn pipelined_plan_matches_materialized(
         tables in arb_tables(),
@@ -288,8 +193,11 @@ proptest! {
         agg_tok in prop::option::of((any::<bool>(), 0u8..16, 0u8..16)),
     ) {
         let (source, steps, arity) = build_steps(base, &tokens);
-        let chain = run_ops(&tables, source, &steps);
-        prop_assert_eq!(sorted(&run_naive(&tables, source, &steps)), sorted(&chain));
+        let row_store = [0, 1].map(|i| URelation::from_certain(&tables[i]));
+        let compacted = [0, 1].map(|i| URelation::from_certain(&tables[i].compact()));
+        prop_assert!(compacted.iter().all(URelation::is_columnar));
+        let chain = row_walk(certain_stream(&row_store, source, &steps)).into_certain();
+        prop_assert_eq!(sorted(&run_naive(&tables, source, &steps).unwrap()), sorted(&chain));
         let agg = agg_tok.map(|tok| build_agg(arity, tok));
         let materialized = match &agg {
             None => chain,
@@ -298,9 +206,6 @@ proptest! {
                 ops::aggregate(&chain, group_exprs, &names, aggs).unwrap()
             }
         };
-        let row_store = [0, 1].map(|i| URelation::from_certain(&tables[i]));
-        let compacted = [0, 1].map(|i| URelation::from_certain(&tables[i].compact()));
-        prop_assert!(compacted.iter().all(URelation::is_columnar));
         for lifted in [&row_store, &compacted] {
             for threads in [1usize, 2, 8] {
                 let pool = ThreadPool::new(threads);
@@ -333,83 +238,39 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// U-relational path: UStream chains vs the algebra sequence
+// U-relational path: UStream chains vs the naive U-relational algebra
 // ---------------------------------------------------------------------
 
-/// Mixed values (numerics, NULLs, and text payload for the third
-/// column).
-fn arb_cell() -> impl Strategy<Value = Value> {
-    prop_oneof![
-        Just(Value::Null),
-        (0i64..4).prop_map(Value::Int),
-        (0i64..6).prop_map(|i| Value::Float(i as f64 / 2.0)),
-    ]
+fn ubag(u: &URelation) -> Vec<(Tuple, Wsd)> {
+    let mut v: Vec<(Tuple, Wsd)> =
+        u.tuples().iter().map(|t| (t.data.clone(), t.wsd.clone())).collect();
+    v.sort();
+    v
 }
 
-fn arb_text() -> impl Strategy<Value = Value> {
-    prop::sample::select(vec!["a", "b", "c"]).prop_map(Value::str)
-}
-
-fn uschema() -> Arc<Schema> {
-    Arc::new(Schema::from_pairs(&[
-        ("k", DataType::Unknown),
-        ("v", DataType::Unknown),
-        ("s", DataType::Text),
-    ]))
-}
-
-/// A world table with three small variables plus a U-relation whose WSDs
-/// mention them — self-joins hit conflicting (unsatisfiable) WSD pairs.
-fn arb_urelation() -> impl Strategy<Value = (WorldTable, URelation)> {
-    (
-        prop::collection::vec((arb_cell(), arb_cell(), arb_text()), 0..14),
-        prop::collection::vec(prop::collection::vec((0u32..3, 0u16..2), 0..3), 0..14),
-    )
-        .prop_map(|(rows, raw_wsds)| {
-            let mut wt = WorldTable::new();
-            for _ in 0..3 {
-                wt.new_var(&[0.5, 0.5]).unwrap();
-            }
-            let tuples = rows
-                .into_iter()
-                .zip(raw_wsds.into_iter().chain(std::iter::repeat(Vec::new())))
-                .map(|((k, v, s), raw)| {
-                    let wsd = Wsd::from_assignments(
-                        raw.into_iter().map(|(v, a)| Assignment::new(Var(v), a)).collect(),
-                    )
-                    .unwrap_or_else(Wsd::tautology);
-                    UTuple::new(Tuple::new(vec![k, v, s]), wsd)
-                })
-                .collect();
-            (wt, URelation::new(uschema(), tuples))
-        })
-}
-
-/// Track, per output column, whether it is numeric-or-NULL (comparisons
-/// against integer literals are total only then).
-struct UChain {
-    numeric: Vec<bool>,
-}
-
-/// Fold tokens into both the eager algebra chain and the lazy stream.
-/// Returns `(materialized, stream, per-column numeric-or-NULL flags)`;
-/// both sides built from identical stages.
+/// Fold tokens into both the naive U-relational chain (`select_u`,
+/// `project_u`, `hash_join_u`) and the lazy stream. Returns `(naive,
+/// stream, per-column numeric-or-NULL flags)`; both sides built from
+/// identical stages. The naive joins build on their left input, so the
+/// naive chain matches the stream as a bag, not in order.
 fn build_uchain(
     u1: &URelation,
     u2: &URelation,
     tokens: &[Token],
 ) -> (URelation, UStream, Vec<bool>) {
-    let mut info = UChain { numeric: vec![true, true, false] };
-    let mut eager = u1.clone();
+    // Per output column: numeric-or-NULL? (Comparisons against integer
+    // literals are total only then.)
+    let mut numeric = vec![true, true, false];
+    let mut oracle = u1.clone();
     let mut lazy = UStream::new(u1.clone());
     for &(op, a, b) in tokens {
-        let arity = info.numeric.len();
+        let arity = numeric.len();
         match op % 3 {
             0 => {
                 // Filter: comparison on a numeric column when one
                 // exists, IS NOT NULL otherwise (total either way).
                 let idx = a as usize % arity;
-                let pred = if info.numeric[idx] {
+                let pred = if numeric[idx] {
                     let cmp = if b % 2 == 0 {
                         maybms_engine::BinaryOp::Gt
                     } else {
@@ -419,7 +280,7 @@ fn build_uchain(
                 } else {
                     Expr::IsNull { expr: Box::new(Expr::ColumnIdx(idx)), negated: true }
                 };
-                eager = algebra::select(&eager, &pred).unwrap();
+                oracle = naive::select_u(&oracle, &pred).unwrap();
                 lazy = lazy.filter(&pred).unwrap();
             }
             1 => {
@@ -433,9 +294,9 @@ fn build_uchain(
                         )
                     })
                     .collect();
-                info.numeric =
-                    (0..arity).map(|i| info.numeric[(i + a as usize) % arity]).collect();
-                eager = algebra::project(&eager, &items).unwrap();
+                numeric =
+                    (0..arity).map(|i| numeric[(i + a as usize) % arity]).collect();
+                oracle = naive::project_u(&oracle, &items).unwrap();
                 lazy = lazy.project(&items).unwrap();
             }
             _ => {
@@ -443,30 +304,32 @@ fn build_uchain(
                 // conflicting WSDs); the stream is the probe side.
                 let build = if b % 2 == 0 { u2 } else { u1 };
                 let lk = a as usize % arity;
-                eager = algebra::hash_join(&eager, build, &[lk], &[0]).unwrap();
+                oracle = naive::hash_join_u(&oracle, build, &[lk], &[0]).unwrap();
                 lazy = lazy.hash_join(build.clone(), &[lk], &[0]).unwrap();
-                info.numeric.extend([true, true, false]);
+                numeric.extend([true, true, false]);
             }
         }
     }
-    let UChain { numeric } = info;
-    (eager, lazy, numeric)
+    (oracle, lazy, numeric)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Fused UStream chains ≡ the materialising algebra sequence — data,
-    /// WSDs (unsatisfiable conjunctions dropped), and row order — at
-    /// 1/2/8 threads and single-row morsels.
+    /// Fused UStream chains ≡ the naive U-relational algebra as a bag of
+    /// (data, WSD) pairs (unsatisfiable conjunctions dropped), and ≡ the
+    /// one-thread row walk in row order too, at 1/2/8 threads and
+    /// single-row morsels.
     #[test]
     fn ustream_chain_matches_algebra(
-        (_wt, u1) in arb_urelation(),
-        (_w2, u2) in arb_urelation(),
+        (_wt, u1) in arb_urelation(arb_cell, 14),
+        (_w2, u2) in arb_urelation(arb_cell, 14),
         tokens in prop::collection::vec((0u8..3, 0u8..16, 0u8..16), 0..5),
     ) {
-        let (eager, lazy, _) = build_uchain(&u1, &u2, &tokens);
-        prop_assert_eq!(lazy.schema().len(), eager.schema().len());
+        let (naive_chain, lazy, _) = build_uchain(&u1, &u2, &tokens);
+        prop_assert_eq!(lazy.schema().len(), naive_chain.schema().len());
+        let reference = row_walk(lazy);
+        prop_assert_eq!(ubag(&reference), ubag(&naive_chain));
         // Collected per-stage stats must also be bit-identical across
         // thread counts (order-independent sums — the instrumentation
         // side of the determinism contract).
@@ -479,31 +342,31 @@ proptest! {
             let got = stream
                 .collect_stats(&pool, 1, Some(&ps))
                 .unwrap();
-            prop_assert_eq!(got.tuples(), eager.tuples(), "threads {}", threads);
+            prop_assert_eq!(got.tuples(), reference.tuples(), "threads {}", threads);
             fingerprints.push(stage_fingerprint(&ps));
         }
         prop_assert_eq!(&fingerprints[1], &fingerprints[0], "stats, threads 2 vs 1");
         prop_assert_eq!(&fingerprints[2], &fingerprints[0], "stats, threads 8 vs 1");
         let (_, stream, _) = build_uchain(&u1, &u2, &tokens);
-        prop_assert_eq!(stream.collect().unwrap().tuples(), eager.tuples());
-        let _ = lazy;
+        prop_assert_eq!(stream.collect().unwrap().tuples(), reference.tuples());
     }
 
-    /// The streaming grouped-aggregation breaker ≡ materialising the
-    /// chain and running the two-pass group + aggregate path — group
+    /// The streaming grouped-aggregation breaker ≡ collecting the chain
+    /// (one-thread row walk) and running the two-pass group + aggregate path — group
     /// keys (incl. NULLs and duplicate select keys), `conf()`,
     /// `esum`/`ecount` partial sums, and `aconf` seed numbering — at
     /// 1/2/8 threads with single-row morsels. Covers empty inputs with
     /// and without GROUP BY (0-row generators).
     #[test]
     fn grouped_streaming_matches_two_pass(
-        (wt, u1) in arb_urelation(),
-        (_w2, u2) in arb_urelation(),
+        (wt, u1) in arb_urelation(arb_cell, 14),
+        (_w2, u2) in arb_urelation(arb_cell, 14),
         tokens in prop::collection::vec((0u8..3, 0u8..16, 0u8..16), 0..4),
         key_pick in 0u8..3,
         agg_pick in 0u8..4,
     ) {
-        let (eager, _, numeric) = build_uchain(&u1, &u2, &tokens);
+        let (_, stream, numeric) = build_uchain(&u1, &u2, &tokens);
+        let reference = row_walk(stream);
         // Group keys: global (none), one key, or a duplicated key pair
         // (the same expression selected twice).
         let k0 = Expr::ColumnIdx(0);
@@ -540,9 +403,9 @@ proptest! {
             ],
         };
         let ctx = uagg::ConfContext::default();
-        // Two-pass reference over the materialised chain.
-        let want = uagg::group(&eager, &grouping).and_then(|groups| {
-            uagg::aggregate_groups(&eager, &groups, key_fields.clone(), &aggs, &wt, &ctx)
+        // Two-pass reference over the collected chain.
+        let want = uagg::group(&reference, &grouping).and_then(|groups| {
+            uagg::aggregate_groups(&reference, &groups, key_fields.clone(), &aggs, &wt, &ctx)
         });
         // Per-query collectors attached at every thread count: results
         // AND collected stats (per-stage rows, group counts, estimator

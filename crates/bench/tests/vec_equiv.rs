@@ -27,8 +27,13 @@ use maybms_engine::ops::{self, ProjectItem};
 use maybms_engine::{vector, BinaryOp, DataType, Expr, Relation, Schema, Tuple, UnaryOp, Value};
 use maybms_par::ThreadPool;
 use maybms_pipe::UStream;
-use maybms_urel::{Assignment, URelation, UTuple, Var, Wsd};
+use maybms_urel::{URelation, UTuple, Wsd};
 use proptest::prelude::*;
+
+mod chains;
+mod gen;
+use chains::{arb_cell, arb_tables, certain_stream, run_naive, sorted, Step};
+use gen::{arb_urelation, schema3};
 
 // ---------------------------------------------------------------------
 // Expression level: eval_batch vs per-row eval_values
@@ -195,55 +200,10 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Certain pipelines: columnar on ≡ columnar off ≡ materialised
+// Certain pipelines: columnar on ≡ columnar off ≡ naive (bag)
 // ---------------------------------------------------------------------
 
-fn arb_num() -> impl Strategy<Value = Value> {
-    prop_oneof![
-        Just(Value::Null),
-        (0i64..5).prop_map(Value::Int),
-        (0i64..8).prop_map(|i| Value::Float(i as f64 / 2.0)),
-    ]
-}
-
-/// Two all-numeric tables: `t0` (3 columns) and `t1` (2 columns).
-fn arb_tables() -> impl Strategy<Value = [Relation; 2]> {
-    (
-        prop::collection::vec((arb_num(), arb_num(), arb_num()), 0..20),
-        prop::collection::vec((arb_num(), arb_num()), 0..8),
-    )
-        .prop_map(|(rows0, rows1)| {
-            let s0 = Arc::new(Schema::from_pairs(&[
-                ("a", DataType::Unknown),
-                ("b", DataType::Unknown),
-                ("c", DataType::Unknown),
-            ]));
-            let s1 = Arc::new(Schema::from_pairs(&[
-                ("d", DataType::Unknown),
-                ("e", DataType::Unknown),
-            ]));
-            [
-                Relation::new_unchecked(
-                    s0,
-                    rows0.into_iter().map(|(a, b, x)| Tuple::new(vec![a, b, x])).collect(),
-                ),
-                Relation::new_unchecked(
-                    s1,
-                    rows1.into_iter().map(|(d, e)| Tuple::new(vec![d, e])).collect(),
-                ),
-            ]
-        })
-}
-
 type Token = (u8, u8, u8);
-
-/// One stage of a certain σ/π/⋈ chain.
-enum Step {
-    Filter(Expr),
-    Project(Vec<ProjectItem>),
-    /// Hash join against table `table` (the chain is the probe side).
-    Join { table: usize, left_key: usize, right_key: usize },
-}
 
 /// σ/π/hash-probe chains — exactly the stage shapes the columnar prefix
 /// covers (breakers are shared between both paths).
@@ -299,43 +259,13 @@ fn build_chain(base: u8, tokens: &[Token]) -> (usize, Vec<Step>) {
     (source, steps)
 }
 
-/// The chain through the materialising `engine::ops` operators.
-fn run_ops(tables: &[Relation], source: usize, steps: &[Step]) -> maybms_engine::Result<Relation> {
-    let mut r = tables[source].clone();
-    for step in steps {
-        r = match step {
-            Step::Filter(p) => ops::filter(&r, p)?,
-            Step::Project(items) => ops::project(&r, items)?,
-            Step::Join { table, left_key, right_key } => {
-                ops::hash_join(&r, &tables[*table], &[*left_key], &[*right_key])?
-            }
-        };
-    }
-    Ok(r)
-}
-
-/// The chain as one fused `UStream` over certain U-relations.
-fn certain_stream(lifted: &[URelation], source: usize, steps: &[Step]) -> UStream {
-    let mut s = UStream::new(lifted[source].clone());
-    for step in steps {
-        s = match step {
-            Step::Filter(p) => s.filter(p),
-            Step::Project(items) => s.project(items),
-            Step::Join { table, left_key, right_key } => {
-                s.hash_join(lifted[*table].clone(), &[*left_key], &[*right_key])
-            }
-        }
-        .unwrap();
-    }
-    s
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Columnar pipeline ≡ row pipeline ≡ materialised chain, at 1/2/8
-    /// threads and morsel sizes down to one row, over row-store and
-    /// columnar-at-rest (zero-pivot) sources.
+    /// Columnar pipeline ≡ row pipeline ≡ the one-thread, whole-input
+    /// row walk, at 1/2/8 threads and morsel sizes down to one row, over
+    /// row-store and columnar-at-rest (zero-pivot) sources — and ≡ the
+    /// naive chain as a bag.
     #[test]
     fn columnar_pipeline_matches_row_pipeline(
         tables in arb_tables(),
@@ -343,9 +273,15 @@ proptest! {
         tokens in prop::collection::vec((0u8..4, 0u8..16, 0u8..16), 0..6),
     ) {
         let (source, steps) = build_chain(base, &tokens);
-        let materialized = run_ops(&tables, source, &steps).unwrap();
         let row_store = [0, 1].map(|i| URelation::from_certain(&tables[i]));
         let compacted = [0, 1].map(|i| URelation::from_certain(&tables[i].compact()));
+        let reference = certain_stream(&row_store, source, &steps)
+            .collect_opts(&ThreadPool::new(1), 1, false)
+            .unwrap();
+        prop_assert_eq!(
+            sorted(&reference.clone().into_certain()),
+            sorted(&run_naive(&tables, source, &steps).unwrap())
+        );
         for lifted in [&row_store, &compacted] {
             for threads in [1usize, 2, 8] {
                 let pool = ThreadPool::new(threads);
@@ -367,9 +303,9 @@ proptest! {
                         "columnar vs row, threads {} morsel {}", threads, morsel
                     );
                     prop_assert_eq!(
-                        col.into_certain().tuples(),
-                        materialized.tuples(),
-                        "columnar vs materialised, threads {} morsel {}", threads, morsel
+                        col.tuples(),
+                        reference.tuples(),
+                        "columnar vs one-thread row walk, threads {} morsel {}", threads, morsel
                     );
                 }
             }
@@ -381,47 +317,6 @@ proptest! {
 // U-relational pipelines: UStream columnar ≡ row (WSDs ride along)
 // ---------------------------------------------------------------------
 
-fn arb_cell() -> impl Strategy<Value = Value> {
-    prop_oneof![
-        Just(Value::Null),
-        (0i64..4).prop_map(Value::Int),
-        (0i64..6).prop_map(|i| Value::Float(i as f64 / 2.0)),
-    ]
-}
-
-fn arb_text() -> impl Strategy<Value = Value> {
-    prop::sample::select(vec!["a", "b", "c"]).prop_map(Value::str)
-}
-
-fn uschema() -> Arc<Schema> {
-    Arc::new(Schema::from_pairs(&[
-        ("k", DataType::Unknown),
-        ("v", DataType::Unknown),
-        ("s", DataType::Text),
-    ]))
-}
-
-fn arb_urelation() -> impl Strategy<Value = URelation> {
-    (
-        prop::collection::vec((arb_cell(), arb_cell(), arb_text()), 0..14),
-        prop::collection::vec(prop::collection::vec((0u32..3, 0u16..2), 0..3), 0..14),
-    )
-        .prop_map(|(rows, raw_wsds)| {
-            let tuples = rows
-                .into_iter()
-                .zip(raw_wsds.into_iter().chain(std::iter::repeat(Vec::new())))
-                .map(|((k, v, s), raw)| {
-                    let wsd = Wsd::from_assignments(
-                        raw.into_iter().map(|(v, a)| Assignment::new(Var(v), a)).collect(),
-                    )
-                    .unwrap_or_else(Wsd::tautology);
-                    UTuple::new(Tuple::new(vec![k, v, s]), wsd)
-                })
-                .collect();
-            URelation::new(uschema(), tuples)
-        })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -430,7 +325,7 @@ proptest! {
     /// 1/2/8 threads, single-row morsels included.
     #[test]
     fn ustream_columnar_matches_row(
-        u in arb_urelation(),
+        (_wt, u) in arb_urelation(arb_cell, 14),
         pa in 0u8..3,
         pb in 0u8..5,
         join_raw in 0u8..2,
@@ -485,31 +380,30 @@ proptest! {
 /// Run a chain over `t` through both pipeline paths, from a row-store
 /// source and from its compacted (columnar-at-rest: dictionary-encoded
 /// text, `Values` for mixed columns) twin; the paths must agree exactly
-/// — values or error message. (The materialised `ops` chain
-/// triangulates on success; on error it may legitimately surface a
-/// *different* row's error, since it runs stage-major while fused
-/// pipelines run row-major — the columnar ≡ row contract is the strict
-/// one.)
+/// — values or error message. (The naive chain triangulates on success,
+/// as a bag; on error it may legitimately surface a *different* row's
+/// error, since it runs stage-major while fused pipelines run row-major
+/// — the columnar ≡ row contract is the strict one.)
 fn three_way(t: &Relation, steps: &[Step]) {
     let pool = ThreadPool::new(2);
     for source in [t.clone(), t.compact()] {
         let tables = [source.clone()];
         let lifted = [URelation::from_certain(&source)];
-        let materialized = run_ops(&tables, 0, steps);
+        let naive = run_naive(&tables, 0, steps);
         let row = certain_stream(&lifted, 0, steps).collect_opts(&pool, 1, false);
         let col = certain_stream(&lifted, 0, steps).collect_opts(&pool, 1, true);
         match (row, col) {
             (Ok(r), Ok(c)) => {
                 assert_eq!(r.tuples(), c.tuples(), "columnar vs row");
                 assert_eq!(
-                    materialized.expect("pipelines succeeded").tuples(),
-                    r.into_certain().tuples(),
-                    "vs materialised"
+                    sorted(&naive.expect("pipelines succeeded")),
+                    sorted(&r.into_certain()),
+                    "vs naive"
                 );
             }
             (Err(re), Err(ce)) => {
                 assert_eq!(re.to_string(), ce.to_string(), "columnar vs row error");
-                assert!(materialized.is_err(), "materialised must error too");
+                assert!(naive.is_err(), "the naive chain must error too");
             }
             (r, c) => panic!("path divergence: row {r:?} vs columnar {c:?}"),
         }
@@ -668,7 +562,7 @@ fn explain_marks_vectorised_stages() {
 #[test]
 fn ustream_constant_filters_fold_at_bind() {
     let u = URelation::new(
-        uschema(),
+        schema3(),
         vec![UTuple::new(
             Tuple::new(vec![Value::Int(1), Value::Int(2), Value::str("a")]),
             Wsd::tautology(),

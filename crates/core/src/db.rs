@@ -1009,21 +1009,24 @@ mod tests {
             ),
         )
         .unwrap();
-        let StatementResult::Ok { message } = db
-            .run(
-                "explain select g.player from games g, teams t \
-                 where g.player = t.player and g.pts > 30",
-            )
-            .unwrap()
-        else {
-            panic!("EXPLAIN must return a message")
-        };
-        assert!(message.contains("pipeline decomposition"), "{message}");
-        assert!(message.contains("-> filter"), "{message}");
-        assert!(message.contains("hash probe"), "{message}");
-        assert!(message.contains("hash-join build side"), "{message}");
-        assert!(message.contains("-> project"), "{message}");
-        assert!(message.contains("result: 1 t-certain rows"), "{message}");
+        // `JOIN … ON` plans exactly like the comma form: a hash join.
+        for sql in [
+            "explain select g.player from games g, teams t \
+             where g.player = t.player and g.pts > 30",
+            "explain select g.player from games g join teams t \
+             on g.player = t.player where g.pts > 30",
+        ] {
+            let StatementResult::Ok { message } = db.run(sql).unwrap() else {
+                panic!("EXPLAIN must return a message")
+            };
+            assert!(message.contains("pipeline decomposition"), "{message}");
+            assert!(message.contains("-> filter"), "{message}");
+            assert!(message.contains("hash probe"), "{message}");
+            assert!(message.contains("hash-join build side"), "{message}");
+            assert!(!message.contains("nested-loop join input"), "{message}");
+            assert!(message.contains("-> project"), "{message}");
+            assert!(message.contains("result: 1 t-certain rows"), "{message}");
+        }
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! Evaluates parsed queries over the catalog of U-relations:
 //!
 //! 1. FROM items become U-relations (`repair key` / `pick tuples` extend
-//!    the hypothesis space, §2.2);
+//!    the hypothesis space, §2.2); `JOIN … ON` chains are flattened, their
+//!    leaves becoming FROM sources and their conditions WHERE conjuncts;
 //! 2. WHERE is split into conjuncts: single-source predicates are pushed
 //!    down, equality conjuncts drive hash joins, `IN (SELECT …)`
-//!    conjuncts are rewritten to joins (positive occurrence only), and the
+//!    conjuncts become hash semi-joins (positive occurrence only), and the
 //!    rest filter the joined result — the parsimonious translation of
 //!    §2.3 throughout;
 //! 3. the SELECT list maps to projections and the uncertainty-aware
@@ -16,19 +17,20 @@
 //!    is only allowed on t-certain results.
 //!
 //! The select/project/join chain of a SELECT block is threaded through a
-//! [`maybms_pipe::UStream`]: pushed-down filters, hash-join probes, and
-//! the final projection accumulate as **fused stages** over the first
-//! FROM source and run in one morsel-driven pass — no intermediate
-//! U-relation is materialised. Grouped aggregation is a **streaming
-//! breaker**: the accumulated pipeline's rows fold straight into
-//! morsel-local group tables ([`agg::aggregate_stream`]), so `GROUP BY
-//! conf()/esum/ecount` plans stream end-to-end. Materialisation happens
-//! only at the remaining breakers (hash-join build sides, nested-loop
-//! joins, `IN`-subquery rewrites, `select possible`, DISTINCT, tconf,
-//! union) and at the final output. `EXPLAIN` records every collected
-//! pipeline via [`ExecCtx::trace`].
+//! [`maybms_pipe::UStream`]: pushed-down filters, hash-join and
+//! `IN`-semi-join probes, and the final projection accumulate as **fused
+//! stages** over the first FROM source and run in one morsel-driven pass
+//! — no intermediate U-relation is materialised. Grouped aggregation is
+//! a **streaming breaker**: the accumulated pipeline's rows fold straight
+//! into morsel-local group tables ([`agg::aggregate_stream`]), so `GROUP
+//! BY conf()/esum/ecount` plans stream end-to-end. Materialisation
+//! happens only at the remaining breakers (hash-join build sides,
+//! nested-loop joins for sources no equality conjunct links, `select
+//! possible`, DISTINCT, HAVING, tconf, union) and at the final output.
+//! `EXPLAIN` records every collected pipeline via [`ExecCtx::trace`].
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
+use std::ops::Range;
 use std::sync::Arc;
 
 use maybms_engine::ops::ProjectItem;
@@ -278,10 +280,18 @@ pub fn eval_query(q: &Query, ctx: &mut ExecCtx<'_>) -> Result<QueryOutput> {
 /// Evaluate one SELECT block.
 pub fn eval_select(s: &Select, ctx: &mut ExecCtx<'_>) -> Result<QueryOutput> {
     // ---- FROM --------------------------------------------------------
+    // `JOIN … ON` is an inner join: its leaves become FROM sources and the
+    // conjuncts of its condition join the WHERE list, so equi-joins hash
+    // join and single-side conditions push down like the comma form.
+    let mut leaves = Vec::with_capacity(s.from.len());
+    let mut conjuncts: Vec<SExpr> = Vec::new();
+    for item in &s.from {
+        flatten_from(item, &mut leaves, &mut conjuncts);
+    }
     // Every FROM item becomes a pipeline head; pushed-down predicates,
     // probes, and the final projection fuse onto these streams.
-    let mut sources: Vec<UStream> = Vec::with_capacity(s.from.len());
-    for item in &s.from {
+    let mut sources: Vec<UStream> = Vec::with_capacity(leaves.len());
+    for item in leaves {
         sources.push(UStream::new(eval_from_item(item, ctx)?));
     }
     if sources.is_empty() {
@@ -293,7 +303,6 @@ pub fn eval_select(s: &Select, ctx: &mut ExecCtx<'_>) -> Result<QueryOutput> {
     }
 
     // ---- WHERE: conjunct split --------------------------------------
-    let mut conjuncts: Vec<SExpr> = Vec::new();
     if let Some(w) = &s.where_clause {
         split_conjuncts(w, &mut conjuncts);
     }
@@ -319,55 +328,64 @@ pub fn eval_select(s: &Select, ctx: &mut ExecCtx<'_>) -> Result<QueryOutput> {
         predicates = kept;
         filtered.push(src);
     }
-    let mut sources = filtered;
+    // Sources keep their FROM position: `ranges[i]` records where source
+    // i's columns land in the joined schema, so `SELECT *` expands in
+    // FROM order whatever order the greedy loop joins in.
+    let mut sources: Vec<(usize, UStream)> = filtered.into_iter().enumerate().collect();
+    let mut ranges = vec![0..0; sources.len()];
+    let (first, mut joined) = sources.remove(0);
+    ranges[first] = 0..joined.schema().len();
 
     // Greedy join of the sources using equality conjuncts.
-    // (predicate idx, source idx, [(left col, left qual, right col, right qual)])
-    type JoinChoice = (usize, usize, Vec<(String, Option<String>, String, Option<String>)>);
-    let mut joined = sources.remove(0);
     while !sources.is_empty() {
-        // Find a predicate linking `joined` to some remaining source.
-        let mut choice: Option<JoinChoice> = None;
+        // Find a `col = col` predicate linking `joined` to a remaining
+        // source: (predicate, source, key in `joined`, key in the source).
+        let mut choice = None;
         'outer: for (pi, p) in predicates.iter().enumerate() {
-            if let Some((lq, ln, rq, rn)) = as_column_equality(p) {
-                for (si, src) in sources.iter().enumerate() {
-                    let l_in_joined = joined.schema().index_of(lq.as_deref(), &ln).is_ok();
-                    let r_in_src = src.schema().index_of(rq.as_deref(), &rn).is_ok();
-                    let r_in_joined = joined.schema().index_of(rq.as_deref(), &rn).is_ok();
-                    let l_in_src = src.schema().index_of(lq.as_deref(), &ln).is_ok();
-                    if l_in_joined && r_in_src {
-                        choice = Some((pi, si, vec![(ln, lq, rn, rq)]));
-                        break 'outer;
-                    }
-                    if r_in_joined && l_in_src {
-                        choice = Some((pi, si, vec![(rn, rq, ln, lq)]));
-                        break 'outer;
-                    }
+            let Some((a, b)) = as_column_equality(p) else { continue };
+            for (si, (_, src)) in sources.iter().enumerate() {
+                let keys = |l, r| {
+                    Some((column_index(l, joined.schema())?, column_index(r, src.schema())?))
+                };
+                if let Some((lk, rk)) = keys(a, b).or_else(|| keys(b, a)) {
+                    choice = Some((pi, si, lk, rk));
+                    break 'outer;
                 }
             }
         }
-        match choice {
-            Some((pi, si, keys)) => {
+        let (si, keys) = match choice {
+            Some((pi, si, lk, rk)) => {
                 predicates.remove(pi);
-                let src = sources.remove(si);
-                let (jn, jq, sn, sq) = &keys[0];
-                let lk = joined.schema().index_of(jq.as_deref(), jn)?;
-                let rk = src.schema().index_of(sq.as_deref(), sn)?;
+                (si, Some((lk, rk)))
+            }
+            None => (0, None),
+        };
+        let (from_pos, src) = sources.remove(si);
+        let width = joined.schema().len();
+        ranges[from_pos] = width..width + src.schema().len();
+        joined = match keys {
+            Some((lk, rk)) => {
                 // The new source is the build side (a breaker: it
                 // materialises, morsel-locally hashed); `joined` keeps
                 // streaming through the probe stage.
                 let build = collect_traced(src, ctx, "hash-join build side")?;
-                joined = joined.hash_join(build, &[lk], &[rk])?;
+                joined.hash_join(build, &[lk], &[rk])?
             }
             None => {
                 // No equality conjunct: a nested-loop join breaks the
-                // pipeline on both sides.
-                let src = sources.remove(0);
+                // pipeline on both sides. The first predicate spanning
+                // both sides filters inside the loop, so a θ-join never
+                // materialises its whole cross product.
+                let both = joined.schema().join(src.schema());
+                let inline = predicates
+                    .iter()
+                    .position(|p| p.bind(&both).is_ok())
+                    .map(|i| predicates.remove(i));
                 let left = collect_traced(joined, ctx, "nested-loop join input")?;
                 let right = collect_traced(src, ctx, "nested-loop join input")?;
-                joined = UStream::new(algebra::nested_loop_join(&left, &right, None)?);
+                UStream::new(algebra::nested_loop_join(&left, &right, inline.as_ref())?)
             }
-        }
+        };
         // Apply any predicates that became fully bound.
         let mut kept = Vec::new();
         for p in predicates.drain(..) {
@@ -384,15 +402,14 @@ pub fn eval_select(s: &Select, ctx: &mut ExecCtx<'_>) -> Result<QueryOutput> {
         joined = joined.filter(&bound)?;
     }
 
-    // ---- IN (SELECT …) rewrites --------------------------------------
+    // ---- IN (SELECT …): hash semi-joins fused onto the stream --------
     for in_sel in &in_selects {
         let SExpr::InSelect { expr, query } = in_sel else { unreachable!() };
-        let materialized = collect_traced(joined, ctx, "IN-subquery rewrite")?;
-        joined = UStream::new(rewrite_in_select(materialized, expr, query, ctx)?);
+        joined = semi_join_in(joined, expr, query, ctx)?;
     }
 
     // ---- SELECT list --------------------------------------------------
-    let items = expand_items(s, joined.schema())?;
+    let items = expand_items(s, joined.schema(), &ranges)?;
 
     if s.possible {
         return eval_possible(joined, &items, ctx);
@@ -651,16 +668,17 @@ fn apply_having(rel: Relation, s: &Select) -> Result<Relation> {
     }
 }
 
-/// Expand wildcards and classify the select list.
-fn expand_items(s: &Select, schema: &Schema) -> Result<Vec<Item>> {
+/// Expand wildcards and classify the select list. `*` expands in FROM
+/// order: `ranges[i]` is FROM source i's column range in `schema`.
+fn expand_items(s: &Select, schema: &Schema, ranges: &[Range<usize>]) -> Result<Vec<Item>> {
     let mut items = Vec::new();
     for (pos, item) in s.items.iter().enumerate() {
         match item {
             SelectItem::Wildcard => {
-                for (i, f) in schema.fields().iter().enumerate() {
+                for i in ranges.iter().flat_map(Range::clone) {
                     items.push(Item::Scalar {
                         expr: EExpr::ColumnIdx(i),
-                        name: f.name.clone(),
+                        name: schema.field(i).name.clone(),
                     });
                 }
             }
@@ -687,7 +705,23 @@ fn expand_items(s: &Select, schema: &Schema) -> Result<Vec<Item>> {
     Ok(items)
 }
 
-/// Evaluate one FROM item to a qualified U-relation.
+/// Flatten a FROM item's `JOIN … ON` chain: leaves in FROM order, the ON
+/// conditions split into conjuncts.
+fn flatten_from<'q>(
+    item: &'q FromItem,
+    leaves: &mut Vec<&'q FromItem>,
+    conjuncts: &mut Vec<SExpr>,
+) {
+    if let FromItem::Join { left, right, on } = item {
+        flatten_from(left, leaves, conjuncts);
+        flatten_from(right, leaves, conjuncts);
+        split_conjuncts(on, conjuncts);
+    } else {
+        leaves.push(item);
+    }
+}
+
+/// Evaluate one FROM leaf (see [`flatten_from`]) to a qualified U-relation.
 fn eval_from_item(item: &FromItem, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
     match item {
         FromItem::Table { name, alias } => {
@@ -729,12 +763,7 @@ fn eval_from_item(item: &FromItem, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
             let out = pick_tuples_u(&input, &options, ctx.wt)?;
             Ok(apply_alias(out, alias.as_deref()))
         }
-        FromItem::Join { left, right, on } => {
-            let l = eval_from_item(left, ctx)?;
-            let r = eval_from_item(right, ctx)?;
-            let pred = scalar(on)?;
-            Ok(algebra::nested_loop_join(&l, &r, Some(&pred))?)
-        }
+        FromItem::Join { .. } => Err(plan_err("JOIN … ON must be flattened before evaluation")),
     }
 }
 
@@ -767,16 +796,20 @@ fn eval_query_input(input: &QueryInput, ctx: &mut ExecCtx<'_>) -> Result<URelati
     }
 }
 
-/// `x IN (SELECT …)` rewritten to join + project-back. Correct for
-/// confidence computation because downstream aggregation treats duplicate
-/// tuples disjunctively — the reason the language restricts IN-subqueries
-/// to positive occurrences (§2.2).
-fn rewrite_in_select(
-    joined: URelation,
+/// `x IN (SELECT …)` as a hash semi-join fused onto the stream: append the
+/// probe value as a column, probe the subquery's rows, project the
+/// original columns back. The build side is first deduplicated on
+/// (value, WSD), so a t-certain subquery gives an exact semi-join (each
+/// input row at most once); an uncertain one keeps one row per distinct
+/// alternative, which confidence computation treats disjunctively — the
+/// reason the language restricts IN-subqueries to positive occurrences
+/// (§2.2).
+fn semi_join_in(
+    joined: UStream,
     probe: &SExpr,
     query: &Query,
     ctx: &mut ExecCtx<'_>,
-) -> Result<URelation> {
+) -> Result<UStream> {
     let sub = eval_query(query, ctx)?.into_urelation();
     if sub.schema().len() != 1 {
         return Err(plan_err(format!(
@@ -784,34 +817,30 @@ fn rewrite_in_select(
             sub.schema().len()
         )));
     }
-    let n = joined.schema().len();
-    // Append the probe value as a synthetic column, hash-join against the
-    // subquery, then project the original columns back.
-    let mut proj: Vec<ProjectItem> = (0..n)
-        .map(|i| {
-            ProjectItem::new(EExpr::ColumnIdx(i), joined.schema().field(i).name.clone())
-        })
+    let mut seen = HashSet::new();
+    let distinct: Vec<usize> = (0..sub.len())
+        .filter(|&i| seen.insert((&sub.tuples()[i].data, &sub.tuples()[i].wsd)))
         .collect();
-    proj.push(ProjectItem::new(scalar(probe)?, "__probe".to_string()));
-    let with_probe = algebra::project(&joined, &proj)?;
-    // Keep original qualified schema plus the probe column.
-    let mut fields = joined.schema().fields().to_vec();
-    fields.push(Field::new(
-        "__probe",
-        with_probe.schema().field(n).dtype,
-    ));
-    let with_probe = with_probe.with_schema(Arc::new(Schema::new(fields)));
-    let joined2 = algebra::hash_join(&with_probe, &sub, &[n], &[0])?;
-    // Project back to the original columns.
-    let keep: Vec<usize> = (0..n).collect();
-    let fields: Vec<Field> = joined.schema().fields().to_vec();
-    let schema = Arc::new(Schema::new(fields));
-    let tuples = joined2
-        .tuples()
+    let build = sub.gather(&distinct);
+    let schema = joined.schema().clone();
+    let n = schema.len();
+    let keep: Vec<ProjectItem> = schema
+        .fields()
         .iter()
-        .map(|t| maybms_urel::UTuple::new(t.data.take(&keep), t.wsd.clone()))
+        .enumerate()
+        .map(|(i, f)| ProjectItem::new(EExpr::ColumnIdx(i), f.name.clone()))
         .collect();
-    Ok(URelation::new(schema, tuples))
+    let mut with_probe = keep.clone();
+    with_probe.push(ProjectItem::new(scalar(probe)?, "__probe"));
+    let joined = joined.project(&with_probe)?;
+    // Projection drops qualifiers; restore them (plus the probe column).
+    let mut fields = schema.fields().to_vec();
+    fields.push(joined.schema().field(n).clone());
+    Ok(joined
+        .with_schema(Arc::new(Schema::new(fields)))
+        .hash_join(build, &[n], &[0])?
+        .project(&keep)?
+        .with_schema(schema))
 }
 
 /// Bind an expression, retrying qualified column references without their
@@ -874,20 +903,21 @@ fn split_conjuncts(e: &SExpr, out: &mut Vec<SExpr>) {
 }
 
 /// Recognise `col = col` equality predicates (for hash-join planning).
-#[allow(clippy::type_complexity)]
-fn as_column_equality(
-    e: &EExpr,
-) -> Option<(Option<String>, String, Option<String>, String)> {
-    if let EExpr::Binary { left, op: BinaryOp::Eq, right } = e {
-        if let (
-            EExpr::Column { qualifier: lq, name: ln },
-            EExpr::Column { qualifier: rq, name: rn },
-        ) = (left.as_ref(), right.as_ref())
+fn as_column_equality(e: &EExpr) -> Option<(&EExpr, &EExpr)> {
+    match e {
+        EExpr::Binary { left, op: BinaryOp::Eq, right }
+            if matches!(**left, EExpr::Column { .. }) && matches!(**right, EExpr::Column { .. }) =>
         {
-            return Some((lq.clone(), ln.clone(), rq.clone(), rn.clone()));
+            Some((left, right))
         }
+        _ => None,
     }
-    None
+}
+
+/// A named column's position in `schema`, if it resolves unambiguously.
+fn column_index(e: &EExpr, schema: &Schema) -> Option<usize> {
+    let EExpr::Column { qualifier, name } = e else { return None };
+    schema.index_of(qualifier.as_deref(), name).ok()
 }
 
 #[cfg(test)]
@@ -968,6 +998,13 @@ mod tests {
     fn join_on_sugar() {
         let r = certain("select g.player, t.city from games g join teams t on g.team = t.team");
         assert_eq!(r.len(), 3);
+        let r = certain(
+            "select g.player from games g join teams t on g.team = t.team and g.pts > 30",
+        );
+        assert_eq!(r.len(), 1);
+        // θ-join with a single-side condition.
+        let r = certain("select g.pts from games g join teams t on g.pts < 30 and t.team = 'LAL'");
+        assert_eq!(r.tuples().iter().map(|t| t.value(0)).collect::<Vec<_>>(), [&Value::Int(25)]);
     }
 
     #[test]
@@ -1162,6 +1199,37 @@ mod tests {
             .map(|t| t.data.value(2).as_int().unwrap())
             .collect();
         assert_eq!(pts, vec![40, 30, 25]);
+    }
+
+    #[test]
+    fn in_select_is_a_semi_join() {
+        // `select team from games` repeats LAL: each game must still come
+        // out once, and the aggregates count it once.
+        let sub = "team in (select team from games)";
+        assert_eq!(certain(&format!("select player from games where {sub}")).len(), 3);
+        let r = certain(&format!("select count(*), sum(pts), ecount() from games where {sub}"));
+        assert_eq!(r.tuples()[0].values(), [Value::Int(3), Value::Int(95), Value::Float(3.0)]);
+        // NULL probes and NULL subquery values never match.
+        let r = certain("select player from games where pts in (select null from teams)");
+        assert_eq!(r.len(), 0);
+    }
+
+    #[test]
+    fn select_star_follows_from_order_not_join_order() {
+        // The greedy loop joins `h` before `t` for the first query; `*`
+        // still lists g, t, h.
+        for sql in [
+            "select * from games g, teams t, games h where g.player = h.player and g.team = t.team",
+            "select * from games g, teams t, games h where g.team = t.team and g.player = h.player",
+            "select * from games g join teams t on g.team = t.team \
+             join games h on g.player = h.player",
+        ] {
+            let r = certain(sql);
+            let names = "player team pts team city player team pts";
+            assert_eq!(r.schema().names().join(" "), names, "{sql}");
+            let row: Vec<String> = r.tuples()[0].values().iter().map(|v| v.to_string()).collect();
+            assert_eq!(row.join(","), "Bryant,LAL,40,LAL,Los Angeles,Bryant,LAL,40", "{sql}");
+        }
     }
 
     #[test]

@@ -17,12 +17,14 @@
 //! * [`vector`] — vectorised expression kernels over [`column`] batches,
 //!   bit-identical to the scalar evaluator (scalar fallback on any
 //!   divergence);
-//! * [`ops`] — materialising physical operators: σ, π, ⨯, ⋈ (nested-loop
-//!   and hash), ∪, distinct, sort, limit, grouped aggregation.
+//! * [`ops`] — the materialising breakers over t-certain relations: σ
+//!   (HAVING), ∪, distinct, sort, limit, grouped aggregation — plus the
+//!   join-key hashing every hash join shares.
 //!
 //! Planning lives above this crate: `maybms-core` plans every SQL
 //! statement and runs its σ/π/⋈ chains through `maybms-pipe`'s fused
-//! `UStream` pipelines, which evaluate with [`expr`] and [`vector`].
+//! `UStream` pipelines — the one σ/π/⋈ executor — which evaluate with
+//! [`expr`] and [`vector`].
 //!
 //! Everything is deterministic, matching the execution model the paper's
 //! rewrites target: large batches run chunk-parallel on the vendored
@@ -47,9 +49,8 @@
 //!     &Expr::col("p").binary(BinaryOp::Gt, Expr::lit(Value::Float(0.7))),
 //! )
 //! .unwrap();
-//! let names = ops::project(&likely, &[ProjectItem::col("player")]).unwrap();
-//! assert_eq!(names.len(), 1);
-//! assert_eq!(names.tuples()[0].value(0), &Value::str("Bryant"));
+//! assert_eq!(likely.len(), 1);
+//! assert_eq!(likely.tuples()[0].value(0), &Value::str("Bryant"));
 //! ```
 
 #![warn(missing_docs)]

@@ -1,14 +1,14 @@
 //! Physical relational operators over materialised [`Relation`]s.
 //!
-//! Each operator is a free function that transforms whole relations —
-//! what `maybms-urel` composes its parsimonious translation from, and
-//! what the SQL path uses for its breakers (distinct, sort, limit,
-//! union). Fused σ/π/⋈ pipelines run in `maybms-pipe` instead; these
-//! operators are their materialising reference.
+//! Each operator is a free function that transforms whole relations:
+//! the SQL path's breakers over t-certain results (HAVING's filter,
+//! distinct, sort, limit, union), grouped aggregation, and the grouping
+//! `repair key` builds on. σ/π/⋈ run only as fused `maybms-pipe` stages;
+//! this module keeps the join-key hashing those stages share.
 //!
 //! # Parallel execution
 //!
-//! The batch-granular operators (σ, hash ⋈, grouping) run chunked on the
+//! The batch-granular operators (σ, grouping) run chunked on the
 //! process-wide `maybms-par` pool when the input is large enough to
 //! amortise task overhead; the `*_with` variants take an explicit pool
 //! handle and chunk size (used by the determinism property tests to pin
@@ -39,10 +39,7 @@ pub use aggregate::{
     ExactSum,
 };
 pub use filter::{filter, filter_with};
-pub use join::{
-    cross_join, hash_join, hash_join_with, join_key_hash, join_keys_eq, nested_loop_join,
-    single_key_hash, tuple_key_hash, tuple_keys_eq,
-};
-pub use project::{project, ProjectItem};
+pub use join::{join_key_hash, join_keys_eq, row_key_hash, single_key_hash};
+pub use project::ProjectItem;
 pub use set::{distinct, union_all};
 pub use sort::{limit, sort, SortKey};

@@ -1,9 +1,10 @@
-//! Property tests for the relational engine: operator algebra laws and
-//! equivalence of alternative physical implementations.
+//! Property tests for the relational engine's breakers: operator algebra
+//! laws. (σ/π/⋈ laws are checked on the fused executor in
+//! `crates/bench/tests/props.rs`.)
 
 use std::sync::Arc;
 
-use maybms_engine::ops::{self, AggCall, AggFunc, ProjectItem, SortKey};
+use maybms_engine::ops::{self, AggCall, AggFunc, SortKey};
 use maybms_engine::{BinaryOp, DataType, Expr, Relation, Schema, Tuple};
 use proptest::prelude::*;
 
@@ -24,24 +25,6 @@ fn arb_relation(max_rows: usize, key_range: i64) -> impl Strategy<Value = Relati
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Hash join and nested-loop join compute the same multiset on equi-keys.
-    #[test]
-    fn hash_join_equals_nested_loop(
-        l in arb_relation(24, 8),
-        r in arb_relation(24, 8),
-    ) {
-        let hj = ops::hash_join(&l, &r, &[0], &[0]).unwrap();
-        // Nested loop needs distinct column names for an unambiguous predicate;
-        // compare by index instead.
-        let pred = Expr::ColumnIdx(0).eq(Expr::ColumnIdx(2));
-        let nl = ops::nested_loop_join(&l, &r, Some(&pred)).unwrap();
-        let mut a = hj.tuples().to_vec();
-        let mut b = nl.tuples().to_vec();
-        a.sort();
-        b.sort();
-        prop_assert_eq!(a, b);
-    }
 
     /// σ_p(σ_p(R)) = σ_p(R) — filter is idempotent.
     #[test]
@@ -108,22 +91,5 @@ proptest! {
             .sum();
         let total = global.tuples()[0].value(0).as_int().unwrap_or(0);
         prop_assert_eq!(total_grouped, total);
-    }
-
-    /// π over σ commutes with σ over π when the projection keeps the
-    /// filtered column.
-    #[test]
-    fn filter_project_commute(r in arb_relation(32, 8), bound in -50i64..50) {
-        let p = Expr::col("v").binary(BinaryOp::LtEq, Expr::lit(bound));
-        let items = vec![ProjectItem::col("v")];
-        let a = ops::project(&ops::filter(&r, &p).unwrap(), &items).unwrap();
-        let b = ops::filter(&ops::project(&r, &items).unwrap(), &p).unwrap();
-        prop_assert_eq!(a.tuples(), b.tuples());
-    }
-
-    /// Cross join cardinality is the product.
-    #[test]
-    fn cross_join_cardinality(a in arb_relation(12, 4), b in arb_relation(12, 4)) {
-        prop_assert_eq!(ops::cross_join(&a, &b).len(), a.len() * b.len());
     }
 }

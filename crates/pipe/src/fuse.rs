@@ -29,7 +29,6 @@ use maybms_par::ThreadPool;
 use maybms_urel::{URelation, Wsd};
 
 use crate::build::BuildTable;
-use crate::row_key_hash;
 
 /// Row `i`'s values and WSD.
 fn row_at(source: &URelation, i: usize) -> (&[Value], &Wsd) {
@@ -420,7 +419,7 @@ where
 /// dictionary entry once (cached on the dictionary itself, so repeated
 /// joins against the same stored table never re-hash) and assigns row
 /// hashes by code lookup — no build-row materialisation. The hash values
-/// are exactly [`row_key_hash`]'s, so probe-side hashing, candidate
+/// are exactly [`ops::row_key_hash`]'s, so probe-side hashing, candidate
 /// verification, and NULL-key handling are unchanged.
 fn build_table(
     build: &URelation,
@@ -456,7 +455,7 @@ fn build_table(
     }
     BuildTable::build(
         build.len(),
-        |i| row_key_hash(row_at(build, i).0, right_keys),
+        |i| ops::row_key_hash(row_at(build, i).0, right_keys),
         pool,
         min_morsel,
     )
@@ -624,7 +623,7 @@ fn push_row<Sk: MorselSink>(
             result
         }
         Stage::Probe { build, left_keys, right_keys } => {
-            let Some(h) = row_key_hash(row, left_keys) else { return Ok(()) };
+            let Some(h) = ops::row_key_hash(row, left_keys) else { return Ok(()) };
             let table = tables[depth].as_ref().expect("probe stage has a build table");
             let mut vals = std::mem::take(&mut scratch[depth]);
             let mut result = Ok(());

@@ -1,10 +1,10 @@
 //! # maybms-pipe — morsel-driven streaming execution
 //!
-//! The substrate's original executors run bottom-up and fully materialise
-//! every intermediate relation: a `σ → π → σ → π` chain allocates four
-//! complete relations, and memory traffic — not the probabilistic
-//! bookkeeping — dominates the hot path. This crate is the push-based
-//! streaming layer on top of the same operators:
+//! A bottom-up executor that fully materialises every intermediate
+//! relation allocates four complete relations for a `σ → π → σ → π`
+//! chain, and memory traffic — not the probabilistic bookkeeping — then
+//! dominates the hot path. This crate is the push-based streaming
+//! executor that runs every σ/π/⋈ of a SQL statement:
 //!
 //! * `maybms-core` splits each query into **pipelines** at *breakers* —
 //!   operators that must see all of their input before emitting anything
@@ -48,16 +48,18 @@
 //!   codes and pre-cached hashes instead of strings;
 //! * morsels run on the `maybms-par` pool and morsel outputs are
 //!   concatenated in morsel order, preserving the determinism
-//!   contract: **pipelined output is bit-identical to the materialising
-//!   path at any thread count** — and the columnar path is bit-identical
-//!   to the row path, values *and* errors (property-tested at 1/2/8
-//!   threads in `crates/bench/tests/pipe_equiv.rs` and
-//!   `crates/bench/tests/vec_equiv.rs`).
+//!   contract: **output is bit-identical at any thread count and morsel
+//!   size** to the one-thread, whole-input row walk — and the columnar
+//!   path is bit-identical to the row path, values *and* errors
+//!   (property-tested at 1/2/8 threads in
+//!   `crates/bench/tests/pipe_equiv.rs` and
+//!   `crates/bench/tests/vec_equiv.rs`, against the naive oracle
+//!   `maybms_bench::naive` as a bag).
 //!
 //! The one front end is [`ustream`]: a lazy [`UStream`] over U-relations
 //! that `maybms-core` threads through its select/project/join chains,
 //! conjoining world-set descriptors in the probe stage and dropping
-//! unsatisfiable rows exactly as `urel::algebra` does. A certain
+//! unsatisfiable rows (the parsimonious translation, §2.3). A certain
 //! relation runs through it as a U-relation with tautological WSDs
 //! (`URelation::from_certain`, which keeps a columnar store's columns).
 //! [`UStream::describe`] is what the SQL `EXPLAIN` statement prints.
@@ -73,16 +75,3 @@ pub mod ustream;
 pub use build::BuildTable;
 pub use groupby::GroupTable;
 pub use ustream::UStream;
-
-/// Hash of a row slice's key columns (columnar single-key fast path),
-/// `None` when any key is NULL. Agrees with the engine's
-/// `tuple_key_hash`, so pipelined probes hit the same buckets as
-/// materialised joins.
-#[inline]
-pub(crate) fn row_key_hash(row: &[maybms_engine::Value], keys: &[usize]) -> Option<u64> {
-    if let [k] = keys {
-        maybms_engine::ops::single_key_hash(&row[*k])
-    } else {
-        maybms_engine::ops::join_key_hash(row, keys)
-    }
-}

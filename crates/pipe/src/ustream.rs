@@ -1,19 +1,21 @@
-//! A lazy, morsel-driven pipeline over U-relations.
+//! A lazy, morsel-driven pipeline over U-relations — the one σ/π/⋈
+//! executor.
 //!
-//! `maybms-core` evaluates the parsimonious translation (§2.3) as a chain
-//! of `urel::algebra` calls, materialising every intermediate U-relation.
-//! A [`UStream`] records the same chain — σ, π, and hash-join probes —
-//! as **fused stages** over one source U-relation and runs it in a
-//! single morsel-driven pass at [`UStream::collect`]: WSDs ride along
-//! with each in-flight row, probe stages conjoin them (dropping
-//! unsatisfiable pairs), and nothing is materialised between stages.
+//! `maybms-core` evaluates the parsimonious translation (§2.3) of every
+//! SELECT block's select/project/join chain through a [`UStream`]: σ, π,
+//! and hash-join probes are recorded as **fused stages** over one source
+//! U-relation and run in a single morsel-driven pass at
+//! [`UStream::collect`]: WSDs ride along with each in-flight row, probe
+//! stages conjoin them (dropping unsatisfiable pairs), and nothing is
+//! materialised between stages.
 //!
 //! Determinism contract: `collect()` is bit-identical — data, WSDs, and
-//! row order — to applying the equivalent `algebra::select` /
-//! `algebra::project` / `algebra::hash_join` sequence, at any thread
-//! count (morsel outputs concatenate in morsel order; build tables merge
-//! morsel-locally in morsel order, matching the joins' fixed
-//! build-right/probe-left convention).
+//! row order — at any thread count and morsel size to the one-thread,
+//! whole-input row walk ([`UStream::collect_opts`] with the columnar path
+//! off on a 1-thread pool): morsel outputs concatenate in morsel order,
+//! and build tables merge morsel-locally in morsel order, so every probe
+//! emits in probe-row order with build candidates in ascending build-row
+//! order (the fixed build-right/probe-left convention).
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -52,18 +54,13 @@ impl UStream {
         &self.schema
     }
 
-    /// Number of source (not output) rows — an upper bound for
-    /// filter-only pipelines, a hint otherwise.
-    pub fn source_len(&self) -> usize {
-        self.source.len()
-    }
-
     /// Number of recorded stages.
     pub fn stage_count(&self) -> usize {
         self.stages.len()
     }
 
-    /// Append a σ stage (equivalent to `algebra::select`).
+    /// Append a σ stage: keep rows whose data satisfies the predicate;
+    /// WSDs ride along unchanged.
     ///
     /// The predicate is constant-folded at bind time ([`fold`]'s guard
     /// applies: fallible subexpressions never fold out of
@@ -90,15 +87,16 @@ impl UStream {
         Ok(self)
     }
 
-    /// Append a π stage (equivalent to `algebra::project`). Expressions
-    /// are constant-folded at bind time.
+    /// Append a π stage: one expression per output column, WSDs kept, no
+    /// duplicate elimination (§2.2). Expressions are constant-folded at
+    /// bind time.
     pub fn project(mut self, items: &[ProjectItem]) -> Result<UStream> {
         let mut exprs = Vec::with_capacity(items.len());
         let mut fields = Vec::with_capacity(items.len());
         for item in items {
             let e = item.expr.bind(&self.schema)?;
-            // Field type from the unfolded expression, so the stream's
-            // schema matches the materialising path exactly.
+            // Field type from the unfolded expression, so folding never
+            // changes the stream's schema.
             fields.push(Field::new(item.name.clone(), e.data_type(&self.schema)));
             exprs.push(fold(e));
         }
@@ -114,9 +112,10 @@ impl UStream {
         self
     }
 
-    /// Append a hash-join probe stage against `build` (equivalent to
-    /// `algebra::hash_join(stream, build, ..)`: the stream is the left /
-    /// probe side, `build` the right / build side). The build table is
+    /// Append a hash-join probe stage against `build`: an equi-join on
+    /// positional keys that concatenates data, conjoins WSDs, and drops
+    /// unsatisfiable pairs; NULL keys never match. The stream is the left
+    /// / probe side, `build` the right / build side. The build table is
     /// constructed at collect time, morsel-locally on the collecting
     /// pool.
     pub fn hash_join(
@@ -149,8 +148,7 @@ impl UStream {
     }
 
     /// Run the pipeline on the process-wide pool. Dispatches morsels in
-    /// parallel for large sources, exactly like the materialising
-    /// operators; output is identical either way.
+    /// parallel for large sources; output is identical either way.
     pub fn collect(self) -> Result<URelation> {
         let pool = maybms_par::pool();
         self.collect_with(&pool, maybms_engine::ops::PAR_MIN_CHUNK)
@@ -210,7 +208,7 @@ impl UStream {
         let t0 = stats.map(|_| std::time::Instant::now());
         let out = match fuse::run(&source, &stages, pool, min_morsel, columnar, stats)? {
             // Filter-only pipeline: gather shares rows (data + WSDs)
-            // with the source, like chained `algebra::select`.
+            // with the source — a selection vector, no copies.
             FusedOutput::Select(sel) => source.gather(&sel).with_schema(schema),
             FusedOutput::Rows(tuples, wsds) => URelation::new(
                 schema,
@@ -427,7 +425,7 @@ impl UStream {
 mod tests {
     use super::*;
     use maybms_engine::{rel, DataType};
-    use maybms_urel::{algebra, Var, WorldTable, Wsd};
+    use maybms_urel::{Var, WorldTable, Wsd};
 
     fn setup() -> (WorldTable, URelation) {
         let mut wt = WorldTable::new();
@@ -450,43 +448,40 @@ mod tests {
         (wt, URelation::new(base.schema().clone(), rows))
     }
 
-    /// Fused σ → probe → π equals the materialising algebra chain, WSDs
-    /// and order included — including the self-join's unsatisfiable
-    /// conjunctions being dropped.
+    /// Fused σ → probe → π equals the parsimonious translation of the
+    /// same chain (written out below), WSDs and order included —
+    /// including the self-join's unsatisfiable conjunctions being
+    /// dropped.
     #[test]
     fn fused_chain_matches_algebra_chain() {
         let (_, u) = setup();
         let pred = Expr::col("state").eq(Expr::lit("F"));
         let items = [ProjectItem::new(Expr::ColumnIdx(0), "who")];
-
-        let materialized = {
-            let s = algebra::select(&u, &pred).unwrap();
-            let j = algebra::hash_join(&s, &u, &[0], &[0]).unwrap();
-            algebra::project(&j, &items).unwrap()
-        };
-        let pipelined = UStream::new(u.clone())
-            .filter(&pred)
-            .unwrap()
-            .hash_join(u.clone(), &[0], &[0])
-            .unwrap()
-            .project(&items)
-            .unwrap();
-        assert_eq!(pipelined.schema().names(), vec!["who"]);
-        for threads in [1, 2, 8] {
-            let pool = ThreadPool::new(threads);
-            let got = UStream::new(u.clone())
+        let chain = || {
+            UStream::new(u.clone())
                 .filter(&pred)
                 .unwrap()
                 .hash_join(u.clone(), &[0], &[0])
                 .unwrap()
                 .project(&items)
                 .unwrap()
-                .collect_with(&pool, 1)
-                .unwrap();
-            assert_eq!(got.tuples(), materialized.tuples(), "threads = {threads}");
+        };
+        assert_eq!(chain().schema().names(), vec!["who"]);
+        // σ keeps (Bryant, F | x=0) and (Duncan, F | y=0); each joins its
+        // own player's two rows, and only the consistent pair survives.
+        let want = [
+            (Value::str("Bryant"), Wsd::of(Var(0), 0)),
+            (Value::str("Duncan"), Wsd::of(Var(1), 0)),
+        ];
+        let check = |got: URelation| {
+            let rows: Vec<_> =
+                got.tuples().iter().map(|t| (t.data.value(0).clone(), t.wsd.clone())).collect();
+            assert_eq!(rows, want);
+        };
+        for threads in [1, 2, 8] {
+            check(chain().collect_with(&ThreadPool::new(threads), 1).unwrap());
         }
-        let got = pipelined.collect().unwrap();
-        assert_eq!(got.tuples(), materialized.tuples());
+        check(chain().collect().unwrap());
     }
 
     #[test]
@@ -494,8 +489,7 @@ mod tests {
         let (_, u) = setup();
         let pred = Expr::col("player").eq(Expr::lit("Bryant"));
         let got = UStream::new(u.clone()).filter(&pred).unwrap().collect().unwrap();
-        let want = algebra::select(&u, &pred).unwrap();
-        assert_eq!(got.tuples(), want.tuples());
+        assert_eq!(got.tuples(), &u.tuples()[..2]);
         assert_eq!(got.tuples()[0].wsd, Wsd::of(Var(0), 0));
     }
 
@@ -509,9 +503,26 @@ mod tests {
     #[test]
     fn binding_errors_surface_at_stage_construction() {
         let (_, u) = setup();
-        assert!(UStream::new(u.clone()).filter(&Expr::col("nope").eq(Expr::lit(1i64))).is_err());
-        assert!(UStream::new(u.clone()).hash_join(u.clone(), &[], &[]).is_err());
-        assert!(UStream::new(u.clone()).hash_join(u, &[7], &[0]).is_err());
+        assert!(UStream::new(u).filter(&Expr::col("nope").eq(Expr::lit(1i64))).is_err());
+    }
+
+    #[test]
+    fn key_arity_mismatch_rejected() {
+        let (_, u) = setup();
+        assert!(UStream::new(u.clone()).hash_join(u, &[0, 1], &[0]).is_err());
+    }
+
+    #[test]
+    fn empty_keys_rejected() {
+        let (_, u) = setup();
+        assert!(UStream::new(u.clone()).hash_join(u, &[], &[]).is_err());
+    }
+
+    #[test]
+    fn out_of_range_keys_rejected() {
+        let (_, u) = setup();
+        assert!(UStream::new(u.clone()).hash_join(u.clone(), &[9], &[0]).is_err());
+        assert!(UStream::new(u.clone()).hash_join(u, &[0], &[9]).is_err());
     }
 
     #[test]

@@ -11,100 +11,26 @@
 //!   conjunction is unsatisfiable;
 //! * ∪ is bag union.
 //!
+//! σ, π and hash-⋈ run as fused stages of `maybms-pipe`'s `UStream`,
+//! the one σ/π/⋈ executor. This module keeps the materialising
+//! operators a breaker still needs: the nested-loop ⋈ for sources no
+//! equality conjunct links, bag ∪, and the sequential hash ⋈ behind
+//! vertical recomposition (the `_tid` join).
+//!
 //! Evaluation cost is polynomial in the size of the representation and
 //! completely independent of the (possibly exponential) number of worlds —
-//! the property benchmarked by experiment E5.
+//! the property experiment E5 measures (`exp_baseline`'s `*_certain` /
+//! `*_urel` row pairs).
 
 use std::sync::Arc;
 
 use maybms_engine::hash::FastMap;
-use maybms_engine::ops::{
-    tuple_key_hash, tuple_keys_eq, ProjectItem, PAR_MIN_CHUNK, PAR_MIN_ROWS,
-};
+use maybms_engine::ops::{join_keys_eq, row_key_hash};
 use maybms_engine::tuple::TupleBatch;
 use maybms_engine::{EngineError, Expr};
-use maybms_par::ThreadPool;
 
 use crate::error::Result;
-use crate::urelation::{zip_batch, URelation, UTuple};
-use crate::wsd::Wsd;
-
-/// σ: keep tuples whose *data* satisfies the predicate. Runs as a
-/// selection vector — WSDs and row data are shared with the input, not
-/// copied. Large inputs evaluate the selection vector chunk-parallel;
-/// output is identical to the sequential scan.
-pub fn select(input: &URelation, predicate: &Expr) -> Result<URelation> {
-    if input.len() >= PAR_MIN_ROWS {
-        let pool = maybms_par::pool();
-        if pool.threads() > 1 {
-            return select_with(input, predicate, &pool, PAR_MIN_CHUNK);
-        }
-    }
-    let bound = predicate.bind(input.schema())?;
-    let mut sel = Vec::new();
-    for (i, t) in input.tuples().iter().enumerate() {
-        if bound.eval_predicate(&t.data)? {
-            sel.push(i);
-        }
-    }
-    Ok(input.gather(&sel))
-}
-
-/// [`select`] on an explicit pool: chunk-local selection vectors are
-/// concatenated in chunk order, so the gathered output equals the
-/// sequential scan row-for-row at any thread count.
-pub fn select_with(
-    input: &URelation,
-    predicate: &Expr,
-    pool: &ThreadPool,
-    min_chunk: usize,
-) -> Result<URelation> {
-    let bound = predicate.bind(input.schema())?;
-    let chunk = maybms_par::auto_chunk(input.len(), pool.threads(), min_chunk);
-    let partials: Vec<Result<Vec<usize>>> =
-        pool.par_map_chunks(input.len(), chunk, |range| {
-            let mut sel = Vec::new();
-            for i in range {
-                if bound.eval_predicate(&input.tuples()[i].data)? {
-                    sel.push(i);
-                }
-            }
-            Ok(sel)
-        });
-    let mut sel = Vec::new();
-    for p in partials {
-        sel.extend(p?);
-    }
-    Ok(input.gather(&sel))
-}
-
-/// π: evaluate the projection list per tuple; conditions are preserved and
-/// duplicates are *not* eliminated (§2.2 forbids `select distinct` on
-/// uncertain relations precisely because conditions differ per duplicate).
-pub fn project(input: &URelation, items: &[ProjectItem]) -> Result<URelation> {
-    let in_schema = input.schema();
-    let bound: Vec<(Expr, maybms_engine::Field)> = items
-        .iter()
-        .map(|item| {
-            let e = item.expr.bind(in_schema)?;
-            let dtype = e.data_type(in_schema);
-            Ok::<_, EngineError>((e, maybms_engine::Field::new(item.name.clone(), dtype)))
-        })
-        .collect::<std::result::Result<_, _>>()?;
-    let schema = Arc::new(maybms_engine::Schema::new(
-        bound.iter().map(|(_, f)| f.clone()).collect(),
-    ));
-    let mut batch = TupleBatch::new();
-    let mut wsds = Vec::with_capacity(input.len());
-    for t in input.tuples() {
-        batch.begin_row();
-        for (e, _) in &bound {
-            batch.push_value(e.eval(&t.data)?);
-        }
-        wsds.push(t.wsd.clone());
-    }
-    Ok(URelation::new(schema, zip_batch(batch, wsds)))
-}
+use crate::urelation::{zip_batch, URelation};
 
 /// ⋈ (nested loop): concatenate data, conjoin conditions, drop
 /// unsatisfiable combinations; optional predicate over the combined data
@@ -143,29 +69,20 @@ pub fn nested_loop_join(
 /// ⋈ (hash): equi-join on positional keys with WSD conjunction. NULL keys
 /// never match.
 ///
-/// **Builds on the right input and probes with the left** — the fixed
-/// convention shared with the engine's `hash_join` and the morsel-driven
-/// probes in `maybms-pipe`: output rows are emitted in left-row order
-/// with right-side candidates in build (ascending row) order, so a
-/// streaming executor can probe the left side morsel-by-morsel and
-/// reproduce this output bit-for-bit. The build table maps a 64-bit key
-/// hash to build-row indices (no per-row `Vec<Value>` key allocation);
-/// hash matches are verified by comparing the key columns before the
-/// WSDs are conjoined. Single-column keys hash columnar. Large inputs
-/// dispatch to the chunk-parallel path ([`hash_join_with`]); output is
-/// identical either way.
+/// **Builds on the right input and probes with the left** — the
+/// convention `maybms-pipe`'s probe stages share: output rows are emitted
+/// in left-row order with right-side candidates in build (ascending row)
+/// order. The build table maps a 64-bit key hash to build-row indices (no
+/// per-row `Vec<Value>` key allocation); hash matches are verified by
+/// comparing the key columns before the WSDs are conjoined. Sequential:
+/// its one caller is vertical recomposition (the `_tid` join), whose
+/// inputs are a stored relation's column partitions.
 pub fn hash_join(
     left: &URelation,
     right: &URelation,
     left_keys: &[usize],
     right_keys: &[usize],
 ) -> Result<URelation> {
-    if left.len() + right.len() >= PAR_MIN_ROWS {
-        let pool = maybms_par::pool();
-        if pool.threads() > 1 {
-            return hash_join_with(left, right, left_keys, right_keys, &pool, PAR_MIN_CHUNK);
-        }
-    }
     if left_keys.len() != right_keys.len() || left_keys.is_empty() {
         return Err(EngineError::InvalidOperator {
             message: "hash join requires matching, non-empty key lists".into(),
@@ -176,18 +93,18 @@ pub fn hash_join(
     let mut table: FastMap<u64, Vec<usize>> =
         FastMap::with_capacity_and_hasher(right.len(), Default::default());
     for (i, t) in right.tuples().iter().enumerate() {
-        if let Some(h) = tuple_key_hash(&t.data, right_keys) {
+        if let Some(h) = row_key_hash(t.data.values(), right_keys) {
             table.entry(h).or_default().push(i);
         }
     }
     let mut batch = TupleBatch::new();
     let mut wsds = Vec::new();
     for l in left.tuples() {
-        let Some(h) = tuple_key_hash(&l.data, left_keys) else { continue };
+        let Some(h) = row_key_hash(l.data.values(), left_keys) else { continue };
         let Some(candidates) = table.get(&h) else { continue };
         for &ri in candidates {
             let r = &right.tuples()[ri];
-            if !tuple_keys_eq(&r.data, right_keys, &l.data, left_keys) {
+            if !join_keys_eq(r.data.values(), right_keys, l.data.values(), left_keys) {
                 continue; // hash collision
             }
             if let Some(wsd) = l.wsd.conjoin(&r.wsd) {
@@ -197,95 +114,6 @@ pub fn hash_join(
         }
     }
     Ok(URelation::new(schema, zip_batch(batch, wsds)))
-}
-
-/// [`hash_join`] on an explicit pool: hash-partitioned parallel build
-/// over the right side, chunked parallel probe over the left, exactly
-/// mirroring the engine's `hash_join_with` but conjoining WSDs (and
-/// dropping unsatisfiable pairs) per emitted row.
-///
-/// Determinism: partition tables insert build rows in ascending index
-/// order (the sequential candidate order) and probe chunk outputs are
-/// concatenated in chunk order, so the output U-relation — tuples, WSDs,
-/// and order — is identical to the sequential join at any thread count.
-pub fn hash_join_with(
-    left: &URelation,
-    right: &URelation,
-    left_keys: &[usize],
-    right_keys: &[usize],
-    pool: &ThreadPool,
-    min_chunk: usize,
-) -> Result<URelation> {
-    if left_keys.len() != right_keys.len() || left_keys.is_empty() {
-        return Err(EngineError::InvalidOperator {
-            message: "hash join requires matching, non-empty key lists".into(),
-        }
-        .into());
-    }
-    let schema = Arc::new(left.schema().join(right.schema()));
-
-    // Partitioned build: partition p owns hashes ≡ p (mod P). The
-    // chunked hash pass pre-buckets (hash, row) pairs by partition, so
-    // each partition task touches only its own pairs (O(rows) total
-    // build work); chunk order = row order keeps every bucket's
-    // candidate list in the sequential insertion order.
-    let parts = if pool.threads() > 1 && right.len() >= min_chunk {
-        pool.threads()
-    } else {
-        1
-    };
-    let chunk = maybms_par::auto_chunk(right.len(), pool.threads(), min_chunk);
-    let bucketed: Vec<Vec<Vec<(u64, u32)>>> =
-        pool.par_map_chunks(right.len(), chunk, |range| {
-            let mut buckets: Vec<Vec<(u64, u32)>> = vec![Vec::new(); parts];
-            for i in range {
-                if let Some(h) = tuple_key_hash(&right.tuples()[i].data, right_keys) {
-                    buckets[(h as usize) % parts].push((h, i as u32));
-                }
-            }
-            buckets
-        });
-    let tables: Vec<FastMap<u64, Vec<usize>>> =
-        pool.par_map((0..parts).collect::<Vec<_>>(), |p| {
-            let mut table: FastMap<u64, Vec<usize>> = FastMap::with_capacity_and_hasher(
-                right.len() / parts + 1,
-                Default::default(),
-            );
-            for chunk_buckets in &bucketed {
-                for &(h, i) in &chunk_buckets[p] {
-                    table.entry(h).or_default().push(i as usize);
-                }
-            }
-            table
-        });
-
-    // Chunked probe over the left input, with WSD conjunction.
-    let chunk = maybms_par::auto_chunk(left.len(), pool.threads(), min_chunk);
-    let outputs: Vec<Vec<UTuple>> = pool.par_map_chunks(left.len(), chunk, |range| {
-        let mut batch = TupleBatch::new();
-        let mut wsds: Vec<Wsd> = Vec::new();
-        for li in range {
-            let l = &left.tuples()[li];
-            let Some(h) = tuple_key_hash(&l.data, left_keys) else { continue };
-            let Some(candidates) = tables[(h as usize) % parts].get(&h) else { continue };
-            for &ri in candidates {
-                let r = &right.tuples()[ri];
-                if !tuple_keys_eq(&r.data, right_keys, &l.data, left_keys) {
-                    continue; // hash collision
-                }
-                if let Some(wsd) = l.wsd.conjoin(&r.wsd) {
-                    batch.push_concat(&l.data, &r.data);
-                    wsds.push(wsd);
-                }
-            }
-        }
-        zip_batch(batch, wsds)
-    });
-    let mut tuples = Vec::with_capacity(outputs.iter().map(Vec::len).sum());
-    for o in outputs {
-        tuples.extend(o);
-    }
-    Ok(URelation::new(schema, tuples))
 }
 
 /// ∪: multiset union (§2.2 — `union` over uncertain relations is the
@@ -320,10 +148,9 @@ pub fn union_all(inputs: &[&URelation]) -> Result<URelation> {
 mod tests {
     use super::*;
     use crate::urelation::UTuple;
-    use crate::var::Var;
     use crate::world_table::WorldTable;
     use crate::wsd::Wsd;
-    use maybms_engine::{rel, BinaryOp, DataType};
+    use maybms_engine::{rel, BinaryOp, DataType, Relation, Tuple};
 
     /// Two players, each with a variable choosing their state.
     fn setup() -> (WorldTable, URelation) {
@@ -345,22 +172,6 @@ mod tests {
         rows[2].wsd = Wsd::of(y, 0);
         rows[3].wsd = Wsd::of(y, 1);
         (wt, URelation::new(base.schema().clone(), rows))
-    }
-
-    #[test]
-    fn select_preserves_conditions() {
-        let (_, u) = setup();
-        let out = select(&u, &Expr::col("state").eq(Expr::lit("F"))).unwrap();
-        assert_eq!(out.len(), 2);
-        assert_eq!(out.tuples()[0].wsd, Wsd::of(Var(0), 0));
-    }
-
-    #[test]
-    fn project_keeps_duplicate_tuples_with_their_conditions() {
-        let (_, u) = setup();
-        let out = project(&u, &[ProjectItem::col("player")]).unwrap();
-        assert_eq!(out.len(), 4); // no dedup: two Bryant rows, two Duncan rows
-        assert_eq!(out.schema().names(), vec!["player"]);
     }
 
     #[test]
@@ -405,27 +216,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_join_and_select_identical_to_sequential() {
-        let (_, u) = setup();
-        // Grow the input so chunking actually splits it (conflicting WSDs
-        // included via self-join).
-        let mut big = u.clone();
-        for _ in 0..4 {
-            big = union_all(&[&big, &u]).unwrap();
-        }
-        let pred = Expr::col("state").eq(Expr::lit("F"));
-        let seq_sel = select(&big, &pred).unwrap();
-        let seq_join = hash_join(&big, &big, &[0], &[0]).unwrap();
-        for threads in [1, 2, 8] {
-            let pool = maybms_par::ThreadPool::new(threads);
-            let par_sel = select_with(&big, &pred, &pool, 3).unwrap();
-            assert_eq!(seq_sel.tuples(), par_sel.tuples(), "select, threads = {threads}");
-            let par_join = hash_join_with(&big, &big, &[0], &[0], &pool, 3).unwrap();
-            assert_eq!(seq_join.tuples(), par_join.tuples(), "join, threads = {threads}");
-        }
-    }
-
-    #[test]
     fn union_concatenates() {
         let (_, u) = setup();
         let out = union_all(&[&u, &u]).unwrap();
@@ -435,8 +225,24 @@ mod tests {
     #[test]
     fn union_arity_checked() {
         let (_, u) = setup();
-        let narrow = project(&u, &[ProjectItem::col("player")]).unwrap();
+        let narrow = URelation::from_certain(&rel(&[("player", DataType::Text)], vec![]));
         assert!(union_all(&[&u, &narrow]).is_err());
+    }
+
+    /// The ordinary (certain) join `l ⋈_pred r`, by definition.
+    fn join_by_definition(l: &Relation, r: &Relation, pred: &Expr) -> Vec<Tuple> {
+        let bound = pred.bind(&l.schema().join(r.schema())).unwrap();
+        let mut out = Vec::new();
+        for a in l.tuples() {
+            for b in r.tuples() {
+                let t = a.concat(b);
+                if bound.eval_predicate(&t).unwrap() {
+                    out.push(t);
+                }
+            }
+        }
+        out.sort();
+        out
     }
 
     /// The core soundness property on a small instance: evaluating the
@@ -445,13 +251,13 @@ mod tests {
     #[test]
     fn translation_commutes_with_instantiation() {
         let (wt, u) = setup();
-        let pred = Expr::col("state").eq(Expr::lit("F"));
-        let translated = select(&u, &pred).unwrap();
+        let translated = hash_join(&u, &u, &[0], &[0]).unwrap();
+        let pred = Expr::ColumnIdx(0).eq(Expr::ColumnIdx(2));
         for (world, _p) in wt.enumerate_worlds(100).unwrap() {
-            let lhs = translated.instantiate(&world);
-            let rhs =
-                maybms_engine::ops::filter(&u.instantiate(&world), &pred).unwrap();
-            assert_eq!(lhs.tuples(), rhs.tuples(), "world {world:?}");
+            let mut lhs = translated.instantiate(&world).into_tuples();
+            lhs.sort();
+            let inst = u.instantiate(&world);
+            assert_eq!(lhs, join_by_definition(&inst, &inst, &pred), "world {world:?}");
         }
     }
 
@@ -463,25 +269,11 @@ mod tests {
         let pred = Expr::qcol("a", "player").eq(Expr::qcol("b", "player"));
         let translated = nested_loop_join(&l, &r, Some(&pred)).unwrap();
         for (world, _p) in wt.enumerate_worlds(100).unwrap() {
-            let lhs = translated.instantiate(&world);
-            let rhs = maybms_engine::ops::nested_loop_join(
-                &l.instantiate(&world),
-                &r.instantiate(&world),
-                Some(&pred),
-            )
-            .unwrap();
-            let mut a = lhs.tuples().to_vec();
-            let mut b = rhs.tuples().to_vec();
-            a.sort();
-            b.sort();
-            assert_eq!(a, b, "world {world:?}");
+            let mut lhs = translated.instantiate(&world).into_tuples();
+            lhs.sort();
+            let rhs = join_by_definition(&l.instantiate(&world), &r.instantiate(&world), &pred);
+            assert_eq!(lhs, rhs, "world {world:?}");
         }
-    }
-
-    #[test]
-    fn select_condition_on_missing_column_errors() {
-        let (_, u) = setup();
-        assert!(select(&u, &Expr::col("nope").eq(Expr::lit(1i64))).is_err());
     }
 
     #[test]

@@ -9,8 +9,11 @@
 //!   their distributions, world sampling and enumeration;
 //! * [`wsd`] — world-set descriptors: the per-tuple condition columns;
 //! * [`urelation`] — U-relations and the t-certain test;
-//! * [`algebra`] — the parsimonious positive-RA translation (σ, π, ⋈, ∪ on
-//!   the representation; cost independent of the number of worlds);
+//! * [`algebra`] — the materialising operators of the parsimonious
+//!   positive-RA translation that breakers still need: nested-loop ⋈,
+//!   bag ∪, and the hash ⋈ behind vertical recomposition (σ, π and the
+//!   SQL path's hash ⋈ run as fused `maybms-pipe` stages; cost independent
+//!   of the number of worlds either way);
 //! * [`repair`] / [`pick`] — the `repair key` and `pick tuples`
 //!   hypothesis-space constructs (§2.2);
 //! * [`vertical`] — attribute-level uncertainty through vertical
